@@ -5,19 +5,18 @@
 //! borrow the arrays in place, so array load cost is O(sections), not
 //! O(bytes).
 //!
-//! Two snapshot shapes are measured, because the flat format only removes
-//! the *array* cost (CSR, walks, Γ); the topic-space and vocabulary blobs
-//! are still decoded into owned nested structures by every loader:
-//! * `paper` — `scaled_topic_config` (64 topics/node): topic decode is a
-//!   shared floor under both loaders, so the flat win is bounded by it;
+//! Two snapshot shapes are measured. Every array, topic space and
+//! representative index included, is viewed in place; the flat loaders
+//! still validate the topic and representative lists in one linear pass:
+//! * `paper` — `scaled_topic_config` (64 topics/node): that validation
+//!   pass over 640 k topic assignments is most of the flat load;
 //! * `arrays` — topic-light, θ = 0.01 (large Γ): the snapshot is almost
-//!   entirely arrays, the shape a production reload is dominated by, and
-//!   the flat loaders win by an order of magnitude.
+//!   entirely arrays, the shape a production reload is dominated by.
 //!
 //! Three load tiers are measured, matching the production call sites:
 //! * `load_owned` — deep copy + deep validation (the conservative path);
 //! * `load_flat_verified` — mapped, full checksum pass (initial start);
-//! * `load_flat_fast` — mapped, structural validation only (RELOAD from the
+//! * `load_flat_fast` — mapped, no checksum pass (RELOAD from the
 //!   server's own staged save, where checksums were verified at write time).
 //!
 //! `first_query_*` adds one uncached query on top of the load, i.e. the
@@ -97,7 +96,7 @@ fn bench_shape(c: &mut Criterion, tag: &str, topics: SyntheticTopicConfig) {
 }
 
 fn coldstart(c: &mut Criterion) {
-    // Paper-shaped topic density: the topic blob decode is the shared floor.
+    // Paper-shaped topic density: topic validation dominates the flat load.
     bench_shape(
         c,
         "paper",

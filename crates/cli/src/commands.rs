@@ -9,10 +9,10 @@ use pit_graph::NodeId;
 use pit_index::PropIndexConfig;
 use pit_summarize::{LrwConfig, RclConfig};
 use pit_walk::WalkConfig;
-use std::fs;
 use std::path::Path;
 
-/// `pit generate` — synthesize a Figure-4 corpus and write its snapshots.
+/// `pit generate` — synthesize a Figure-4 corpus and write it as one flat
+/// `dataset.pitf`.
 pub fn generate(p: &Parsed) -> Result<(), String> {
     let name = p.require("dataset")?;
     let out = Path::new(p.require("out")?);
@@ -30,22 +30,7 @@ pub fn generate(p: &Parsed) -> Result<(), String> {
     })?;
     eprintln!("generating {} ({} nodes)…", spec.name, spec.nodes);
     let ds = pit_datasets::generate(spec);
-    fs::create_dir_all(out).map_err(|e| e.to_string())?;
-    fs::write(
-        out.join("graph.pitg"),
-        pit_graph::snapshot::encode(&ds.graph),
-    )
-    .map_err(|e| e.to_string())?;
-    fs::write(
-        out.join("topics.pitt"),
-        pit_topics::snapshot::encode_space(&ds.space),
-    )
-    .map_err(|e| e.to_string())?;
-    fs::write(
-        out.join("vocab.pitv"),
-        pit_topics::snapshot::encode_vocab(&ds.vocab),
-    )
-    .map_err(|e| e.to_string())?;
+    store::save_dataset(out, &ds.graph, &ds.space, Some(&ds.vocab)).map_err(|e| e.to_string())?;
     let stats = GraphStats::compute(&ds.graph);
     println!(
         "wrote {}: |V|={}, |E|={}, topics={}, terms={}",
@@ -78,23 +63,7 @@ pub fn build(p: &Parsed) -> Result<(), String> {
         other => return Err(format!("unknown summarizer {other} (lrw|rcl)")),
     };
 
-    let graph = pit_graph::snapshot::decode(
-        &fs::read(corpus.join("graph.pitg")).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| e.to_string())?;
-    let space = pit_topics::snapshot::decode_space(
-        &fs::read(corpus.join("topics.pitt")).map_err(|e| e.to_string())?,
-    )
-    .map_err(|e| e.to_string())?;
-    let vocab_path = corpus.join("vocab.pitv");
-    let vocab = if vocab_path.exists() {
-        Some(
-            pit_topics::snapshot::decode_vocab(&fs::read(vocab_path).map_err(|e| e.to_string())?)
-                .map_err(|e| e.to_string())?,
-        )
-    } else {
-        None
-    };
+    let (graph, space, vocab) = store::load_dataset(corpus).map_err(|e| e.to_string())?;
 
     eprintln!(
         "building offline stage ({}, θ={theta}, L={walk_l}, R={walk_r}, {reps} reps/topic)…",

@@ -49,9 +49,10 @@ fn full_lifecycle() {
         "generate --dataset data_350k --scale 1000 --out {corpus}"
     )))
     .expect("generate succeeds");
-    for f in ["graph.pitg", "topics.pitt", "vocab.pitv"] {
-        assert!(dirs.corpus.join(f).exists(), "missing corpus file {f}");
-    }
+    assert!(
+        dirs.corpus.join("dataset.pitf").exists(),
+        "missing flat corpus file"
+    );
 
     // build (LRW default).
     commands::build(&argv(&format!(
@@ -135,10 +136,7 @@ fn build_rejects_unknown_summarizer_and_missing_corpus() {
         dirs.engine.display()
     )))
     .unwrap_err();
-    assert!(
-        err.contains("No such file") || err.contains("os error"),
-        "{err}"
-    );
+    assert!(err.contains("no dataset.pitf in /nonexistent"), "{err}");
 }
 
 #[test]

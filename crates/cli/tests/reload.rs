@@ -379,10 +379,10 @@ fn cli_reload_and_update_subcommands_drive_a_live_daemon() {
     assert!(ok, "pit update failed: {stderr}");
     assert!(stdout.contains("generation 3"), "stdout: {stdout}");
 
-    // Served rankings now match an offline apply of the same delta to B —
-    // to B *as loaded from disk*: `load_engine` restores the summarizer
-    // kind with default parameters (the sets already embody the originals),
-    // and the daemon's delta apply re-summarizes under that config.
+    // Served rankings now match an offline apply of the same delta to B
+    // as loaded from disk: `load_engine` restores the summarizer and its
+    // full configuration, and the daemon's delta apply re-summarizes under
+    // that config.
     let delta = pit::Delta {
         new_edges: vec![(u, v, 0.6)],
         new_assignments: vec![],

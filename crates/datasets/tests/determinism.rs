@@ -14,32 +14,26 @@ fn spec(nodes: usize, seed: u64) -> DatasetSpec {
     }
 }
 
-/// Encode every artifact so the comparison is bit-level, not structural.
-fn fingerprint(spec: &DatasetSpec) -> (Vec<u8>, Vec<u8>, Vec<u8>) {
+/// The `dataset.pitf` bytes `pit generate` would write, so the comparison
+/// is bit-level, not structural.
+fn fingerprint(spec: &DatasetSpec) -> Vec<u8> {
     let ds = generate(spec);
-    (
-        pit_graph::snapshot::encode(&ds.graph).to_vec(),
-        pit_topics::snapshot::encode_space(&ds.space).to_vec(),
-        pit_topics::snapshot::encode_vocab(&ds.vocab).to_vec(),
-    )
+    pit::store::encode_dataset(&ds.graph, &ds.space, Some(&ds.vocab)).expect("encode dataset")
 }
 
 #[test]
 fn same_spec_is_byte_identical() {
     let s = spec(800, 42);
-    let (g1, t1, v1) = fingerprint(&s);
-    let (g2, t2, v2) = fingerprint(&s);
-    assert_eq!(g1, g2, "graph bytes diverged across runs");
-    assert_eq!(t1, t2, "topic-space bytes diverged across runs");
-    assert_eq!(v1, v2, "vocabulary bytes diverged across runs");
+    assert!(
+        fingerprint(&s) == fingerprint(&s),
+        "dataset bytes diverged across runs"
+    );
 }
 
 #[test]
 fn different_seeds_actually_differ() {
-    let (g1, t1, _) = fingerprint(&spec(800, 1));
-    let (g2, t2, _) = fingerprint(&spec(800, 2));
     assert!(
-        g1 != g2 || t1 != t2,
+        fingerprint(&spec(800, 1)) != fingerprint(&spec(800, 2)),
         "seeds 1 and 2 produced identical corpora — generator ignores the seed"
     );
 }
@@ -50,9 +44,5 @@ fn paper_specs_are_deterministic() {
     // stable run to run.
     let mut specs = pit_datasets::paper_specs(200);
     let s = specs.remove(0);
-    let (g1, t1, v1) = fingerprint(&s);
-    let (g2, t2, v2) = fingerprint(&s);
-    assert_eq!(g1, g2);
-    assert_eq!(t1, t2);
-    assert_eq!(v1, v2);
+    assert!(fingerprint(&s) == fingerprint(&s));
 }

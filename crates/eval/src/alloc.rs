@@ -6,6 +6,10 @@
 //! water mark, rather than an estimate. Counting is a pair of relaxed
 //! atomics — negligible overhead next to the allocations themselves.
 //!
+//! Allocation *calls* are counted per thread ([`alloc_calls`]), so an
+//! allocation-freedom bracket sees only its own thread's calls, never those
+//! of tests running in parallel beside it.
+//!
 //! Accounting is *saturating*: a dealloc that is not matched by a tracked
 //! alloc (memory handed out before the allocator was installed, or a
 //! mismatched test-side adjustment) clamps the live counter at zero instead
@@ -13,11 +17,18 @@
 //! peak measurement with a ~2^64 baseline.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);
-static CALLS: AtomicUsize = AtomicUsize::new(0);
+
+thread_local! {
+    /// Allocation calls made by this thread. A `const` initializer over a
+    /// type without a destructor needs no lazy registration, so touching
+    /// it never allocates inside the allocator.
+    static CALLS: Cell<usize> = const { Cell::new(0) };
+}
 
 /// A `System`-backed allocator that tracks live and peak heap bytes.
 pub struct CountingAllocator;
@@ -54,7 +65,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 }
 
 fn track_alloc(size: usize) {
-    CALLS.fetch_add(1, Ordering::Relaxed);
+    // `try_with` fails only while the thread's locals are being torn down.
+    let _ = CALLS.try_with(|c| c.set(c.get() + 1));
     let now = CURRENT.fetch_add(size, Ordering::Relaxed) + size;
     // Racy max-update is fine for measurement purposes: a lost update can
     // only under-report by one allocation's worth in a pathological race.
@@ -86,12 +98,12 @@ pub fn current_bytes() -> usize {
     CURRENT.load(Ordering::Relaxed)
 }
 
-/// Total allocation calls (alloc + grow-side of realloc) since process
-/// start. Allocation-freedom tests bracket a code region and assert the
-/// delta is zero — a byte-based measure can miss alloc/free churn that
-/// nets out to nothing but still costs allocator round-trips.
+/// Allocation calls (alloc + grow-side of realloc) made by the calling
+/// thread since it started. Allocation-freedom tests bracket a code region
+/// and assert the delta is zero — a byte-based measure can miss alloc/free
+/// churn that nets out to nothing but still costs allocator round-trips.
 pub fn alloc_calls() -> usize {
-    CALLS.load(Ordering::Relaxed)
+    CALLS.with(Cell::get)
 }
 
 /// Peak heap bytes since the last [`reset_peak`].

@@ -20,8 +20,6 @@ pub enum GraphError {
     DuplicateEdge { from: NodeId, to: NodeId },
     /// The graph is empty (zero nodes) where at least one node is required.
     EmptyGraph,
-    /// A snapshot byte stream failed validation while deserializing.
-    CorruptSnapshot(String),
 }
 
 impl fmt::Display for GraphError {
@@ -40,7 +38,6 @@ impl fmt::Display for GraphError {
                 write!(f, "duplicate edge {from}->{to} with conflicting weight")
             }
             GraphError::EmptyGraph => write!(f, "graph must contain at least one node"),
-            GraphError::CorruptSnapshot(msg) => write!(f, "corrupt graph snapshot: {msg}"),
         }
     }
 }

@@ -50,7 +50,6 @@ pub mod error;
 pub mod fixtures;
 pub mod ids;
 pub mod prob;
-pub mod snapshot;
 pub mod stats;
 
 pub use builder::GraphBuilder;

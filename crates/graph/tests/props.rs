@@ -1,6 +1,6 @@
 //! Property-based tests for the CSR graph substrate.
 
-use pit_graph::{snapshot, GraphBuilder, NodeId};
+use pit_graph::{GraphBuilder, NodeId};
 use proptest::prelude::*;
 use rustc_hash::FxHashSet;
 
@@ -61,21 +61,6 @@ proptest! {
             let ins = g.in_neighbors(u);
             prop_assert!(ins.windows(2).all(|w| w[0] < w[1]));
         }
-    }
-
-    /// Snapshot encode/decode is the identity on edge sets.
-    #[test]
-    fn snapshot_roundtrip((n, edges) in edge_list(30, 150)) {
-        let mut b = GraphBuilder::new(n);
-        for &(u, v, p) in &edges {
-            b.add_edge(NodeId(u), NodeId(v), p).unwrap();
-        }
-        let g = b.build().unwrap();
-        let g2 = snapshot::decode(&snapshot::encode(&g)).unwrap();
-        let e1: Vec<_> = g.edges().collect();
-        let e2: Vec<_> = g2.edges().collect();
-        prop_assert_eq!(e1, e2);
-        prop_assert_eq!(g.node_count(), g2.node_count());
     }
 
     /// edge_prob is None exactly for absent pairs.

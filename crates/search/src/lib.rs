@@ -21,7 +21,6 @@ pub mod cancel;
 pub mod driver;
 pub mod repindex;
 pub mod searcher;
-pub mod snapshot;
 pub mod trace;
 
 pub use audience::{find_audience, AudienceHit};

@@ -1,14 +1,21 @@
 //! The topic-to-representative-user index (offline stage output).
 
-use pit_graph::TopicId;
-use pit_summarize::{RepresentativeSet, SummarizeContext, Summarizer};
+use pit_graph::{NodeId, TopicId};
+use pit_store::{Csr, Sect};
+use pit_summarize::{RepView, RepresentativeSet, SummarizeContext, Summarizer};
 
 /// Materialized representative sets for every topic — the paper's
 /// "topic-to-representative user index", built once offline (Algorithm 5
 /// line 2 / Algorithm 9 lines 2–3) and probed by every query.
+///
+/// Stored as one [`Csr`] of node ids (row `t` = topic `t`'s
+/// representatives, ascending) plus a parallel weight array, owned when
+/// built and viewed in place when loaded from a flat snapshot.
 #[derive(Clone, Debug)]
 pub struct TopicRepIndex {
-    sets: Vec<RepresentativeSet>,
+    nodes: Csr<NodeId>,
+    /// `weights[i]` is the weight of `nodes.data()[i]`.
+    weights: Sect<f64>,
 }
 
 impl TopicRepIndex {
@@ -33,13 +40,13 @@ impl TopicRepIndex {
             .min(topics.len().max(1));
         let chunk = topics.len().div_ceil(threads);
 
-        let mut computed: Vec<(TopicId, RepresentativeSet)> = Vec::with_capacity(topics.len());
+        let mut computed: Vec<RepresentativeSet> = Vec::with_capacity(topics.len());
         crossbeam::scope(|s| {
             let mut handles = Vec::new();
             for part in topics.chunks(chunk.max(1)) {
                 handles.push(s.spawn(move |_| {
                     part.iter()
-                        .map(|&t| (t, summarizer.summarize(ctx, t)))
+                        .map(|&t| summarizer.summarize(ctx, t))
                         .collect::<Vec<_>>()
                 }));
             }
@@ -49,16 +56,18 @@ impl TopicRepIndex {
         })
         .expect("crossbeam scope failed");
 
-        let mut sets: Vec<RepresentativeSet> = (0..n_topics)
-            .map(|t| RepresentativeSet::new(TopicId::from_index(t), Vec::new()))
-            .collect();
-        for (t, set) in computed {
-            sets[t.index()] = set;
-        }
-        TopicRepIndex { sets }
+        Self::empty(n_topics).with_sets(computed)
     }
 
-    /// Wrap pre-computed sets (tests, or loading a persisted index).
+    /// An index of `topics` empty sets.
+    fn empty(topics: usize) -> Self {
+        TopicRepIndex {
+            nodes: Csr::from_rows(vec![[]; topics]),
+            weights: Sect::default(),
+        }
+    }
+
+    /// Wrap pre-computed sets (tests, benchmarks).
     ///
     /// # Panics
     /// Panics if `sets[i].topic() != i` for some `i`.
@@ -71,58 +80,124 @@ impl TopicRepIndex {
                 s.topic()
             );
         }
-        TopicRepIndex { sets }
+        Self::pack(sets.iter().map(RepresentativeSet::view))
+    }
+
+    fn pack<'a>(sets: impl Iterator<Item = RepView<'a>>) -> Self {
+        let mut nodes = Csr::default();
+        let mut weights = Vec::new();
+        for set in sets {
+            nodes.push_row(set.nodes());
+            weights.extend_from_slice(set.weights());
+        }
+        TopicRepIndex {
+            nodes,
+            weights: weights.into(),
+        }
+    }
+
+    /// Assemble an index from stored arrays, checking in one linear pass
+    /// what every set guarantees: one weight per node, each row strictly
+    /// ascending, every node below `node_count`, and every weight finite
+    /// and non-negative.
+    ///
+    /// # Errors
+    /// A message naming the first violated rule.
+    pub fn from_raw_parts(
+        node_count: usize,
+        nodes: Csr<NodeId>,
+        weights: Sect<f64>,
+    ) -> Result<Self, String> {
+        if weights.len() != nodes.data().len() {
+            return Err(format!(
+                "{} weights for {} representatives",
+                weights.len(),
+                nodes.data().len()
+            ));
+        }
+        for (t, row) in nodes.iter().enumerate() {
+            if row.windows(2).any(|w| w[0] >= w[1]) {
+                return Err(format!("topic {t}: representatives not strictly ascending"));
+            }
+            if let Some(v) = row.last().filter(|v| v.index() >= node_count) {
+                return Err(format!(
+                    "topic {t}: representative {v} out of range {node_count}"
+                ));
+            }
+        }
+        if let Some(w) = weights.iter().find(|w| !(w.is_finite() && **w >= 0.0)) {
+            return Err(format!("invalid representative weight {w}"));
+        }
+        Ok(TopicRepIndex { nodes, weights })
+    }
+
+    /// The node rows and the parallel weights, in
+    /// [`TopicRepIndex::from_raw_parts`] order.
+    pub fn raw_parts(&self) -> (&Csr<NodeId>, &[f64]) {
+        (&self.nodes, &self.weights)
     }
 
     /// The representative set of `topic`.
     #[inline]
-    pub fn get(&self, topic: TopicId) -> &RepresentativeSet {
-        &self.sets[topic.index()]
+    pub fn get(&self, topic: TopicId) -> RepView<'_> {
+        let r = self.nodes.range(topic.index());
+        RepView::new(topic, &self.nodes.data()[r.clone()], &self.weights[r])
     }
 
     /// Number of topics covered (= topic count of the space).
     pub fn len(&self) -> usize {
-        self.sets.len()
+        self.nodes.rows()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.sets.is_empty()
+        self.len() == 0
+    }
+
+    fn sets(&self) -> impl Iterator<Item = RepView<'_>> + '_ {
+        (0..self.len()).map(|t| self.get(TopicId::from_index(t)))
     }
 
     /// Replace every set with its `k` heaviest representatives — the
     /// experiment knob of Figures 7 and 12 ("vary the materialized sizes of
     /// representative nodes for each topic").
     pub fn truncated(&self, k: usize) -> TopicRepIndex {
-        TopicRepIndex {
-            sets: self.sets.iter().map(|s| s.truncate_to_top(k)).collect(),
-        }
+        let cut: Vec<RepresentativeSet> = self.sets().map(|s| s.truncate_to_top(k)).collect();
+        Self::pack(cut.iter().map(RepresentativeSet::view))
     }
 
-    /// Replace one topic's representative set (used by incremental
-    /// maintenance when a topic is re-summarized).
+    /// A copy with the given topics' sets replaced (used by incremental
+    /// maintenance when topics are re-summarized). One pass over the index.
     ///
     /// # Panics
-    /// Panics if the set's topic id is out of range or does not match its
-    /// slot.
-    pub fn replace(&mut self, set: RepresentativeSet) {
-        let i = set.topic().index();
-        assert!(i < self.sets.len(), "topic {} out of range", set.topic());
-        self.sets[i] = set;
+    /// Panics if a set's topic id is out of range.
+    pub fn with_sets(&self, sets: Vec<RepresentativeSet>) -> TopicRepIndex {
+        let mut fresh: Vec<Option<&RepresentativeSet>> = vec![None; self.len()];
+        for set in &sets {
+            let i = set.topic().index();
+            assert!(i < fresh.len(), "topic {} out of range", set.topic());
+            fresh[i] = Some(set);
+        }
+        Self::pack(
+            self.sets()
+                .zip(fresh)
+                .map(|(old, new)| new.map_or(old, RepresentativeSet::view)),
+        )
     }
 
     /// Total representatives across all topics.
     pub fn total_reps(&self) -> usize {
-        self.sets.iter().map(RepresentativeSet::len).sum()
+        self.nodes.data().len()
     }
 
-    /// Estimated resident heap size in bytes.
+    /// Bytes of the index borrowed from a snapshot mapping (0 when owned).
+    pub fn mapped_bytes(&self) -> usize {
+        self.nodes.mapped_bytes() + self.weights.mapped_bytes()
+    }
+
+    /// Size of the index arrays in bytes, regardless of backing.
     pub fn heap_size_bytes(&self) -> usize {
-        self.sets
-            .iter()
-            .map(RepresentativeSet::heap_size_bytes)
-            .sum::<usize>()
-            + self.sets.capacity() * std::mem::size_of::<RepresentativeSet>()
+        self.nodes.size_bytes() + self.weights.size_bytes()
     }
 }
 

@@ -44,8 +44,8 @@ use std::sync::Arc;
 /// First four bytes of every flat snapshot.
 pub const FLAT_MAGIC: [u8; 4] = *b"PITF";
 /// The container version this build writes and reads.
-pub const FLAT_VERSION: u16 = 1;
-/// Upper bound on table entries — far above the engine's ~21 sections, low
+pub const FLAT_VERSION: u16 = 2;
+/// Upper bound on table entries — far above the engine's ~30 sections, low
 /// enough that a corrupt count can't make `open` do size-proportional work.
 pub const MAX_SECTIONS: usize = 64;
 
@@ -93,7 +93,8 @@ impl FlatWriter {
             .push((kind, T::ELEM, bytes, data.len() as u64));
     }
 
-    /// Append an opaque blob section (decoded by its own codec).
+    /// Append an opaque byte section (parsed by the caller, e.g. with
+    /// [`ByteReader`]).
     pub fn push_blob(&mut self, kind: u16, bytes: &[u8]) {
         let count = bytes.len() as u64;
         self.sections
@@ -163,14 +164,6 @@ impl FlatWriter {
         }
         out.resize(file_len, 0);
         Ok(out)
-    }
-
-    /// Assemble and write the container to `path` (no fsync/rename — the
-    /// caller's staged-commit protocol handles durability and atomicity).
-    pub fn write_to(&self, path: &Path) -> Result<(), FlatError> {
-        let bytes = self.to_bytes()?;
-        std::fs::write(path, bytes)?;
-        Ok(())
     }
 }
 

@@ -1,9 +1,9 @@
 //! # pit-store
 //!
 //! The flat snapshot container for PIT-Search: a single sectioned,
-//! checksummed, alignment-validated file that the engine's big per-node
-//! arrays (CSR adjacency, walk tables, Γ propagation indexes) can be viewed
-//! from **without copying** — `load_engine` becomes O(validate) instead of
+//! checksummed, alignment-validated file that every engine array (CSR
+//! adjacency, walk tables, Γ propagation indexes, topic lists, vocabulary,
+//! representative sets) can be viewed from **without copying** — `load_engine` becomes O(validate) instead of
 //! O(copy), and N co-hosted shards share the page cache for their common
 //! sections.
 //!
@@ -24,14 +24,15 @@
 //!   checksums* (one zero-copy FNV pass over every section) on demand.
 //!
 //! What goes **in** the sections is the caller's business: the root `pit`
-//! crate composes the engine snapshot out of typed arrays (via [`Pod`]) and
-//! opaque blobs (the legacy per-crate codecs for small artifacts). Every
+//! crate composes the engine snapshot out of typed arrays (via [`Pod`]),
+//! with variable-length lists stored as [`Csr`] offset/data pairs. Every
 //! corruption — truncation, bit flip, misaligned offset, overlapping or
 //! out-of-order table entries, a wrong checksum — surfaces as a typed
 //! [`FlatError`], never a panic.
 
 #![deny(unsafe_op_in_unsafe_fn)]
 
+pub mod csr;
 pub mod error;
 pub mod flat;
 pub mod mmap;
@@ -40,6 +41,7 @@ pub mod reader;
 pub mod sect;
 pub mod sum;
 
+pub use csr::Csr;
 pub use error::FlatError;
 pub use flat::{FlatFile, FlatWriter, SectionInfo, FLAT_MAGIC, FLAT_VERSION, MAX_SECTIONS};
 pub use mmap::Mapping;

@@ -8,7 +8,7 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum ElemType {
-    /// Opaque bytes (blob sections decoded by their own codecs).
+    /// Bytes: UTF-8 text arrays and blob sections parsed by the caller.
     U8 = 1,
     U32 = 2,
     U64 = 3,

@@ -1,8 +1,9 @@
 //! `Sect<T>` — a typed array that is either owned or a borrowed window of a
 //! read-only file mapping.
 //!
-//! Index structures (`CsrGraph`, `WalkIndex`, `PropagationIndex`) store
-//! their big per-node arrays as `Sect<T>` fields: built in memory they are
+//! Index structures (`CsrGraph`, `WalkIndex`, `PropagationIndex`, and,
+//! through [`crate::Csr`], `TopicSpace`, `Vocabulary` and `TopicRepIndex`)
+//! store their arrays as `Sect<T>` fields: built in memory they are
 //! `Owned`, loaded from a flat snapshot they are `Mapped` — and because
 //! `Sect` derefs to `&[T]`, every accessor, iterator, and algorithm in the
 //! workspace keeps slicing exactly as before. Cloning a mapped section is
@@ -57,6 +58,18 @@ impl<T: Pod> Sect<T> {
     /// Deep-copy into owned memory (no-op clone of the data for `Owned`).
     pub fn to_owned_vec(&self) -> Vec<T> {
         self.as_slice().to_vec()
+    }
+
+    /// Mutable access to owned elements, copying a mapped window into
+    /// owned memory first (copy-on-write).
+    pub fn to_mut(&mut self) -> &mut Vec<T> {
+        if self.is_mapped() {
+            *self = Sect::Owned(self.to_owned_vec());
+        }
+        match self {
+            Sect::Owned(v) => v,
+            Sect::Mapped { .. } => unreachable!("mapped sections were copied above"),
+        }
     }
 
     /// The elements as a slice.
@@ -135,5 +148,8 @@ mod tests {
         assert!(!s.is_mapped());
         assert_eq!(s.mapped_bytes(), 0);
         assert_eq!(s.size_bytes(), 12);
+        let mut s = s;
+        s.to_mut().push(4);
+        assert_eq!(&s[..], &[1, 2, 3, 4]);
     }
 }

@@ -28,7 +28,7 @@ pub mod repset;
 pub use lrw::pagerank::PageRankInit;
 pub use lrw::{LrwConfig, LrwSummarizer};
 pub use rcl::{RclConfig, RclSummarizer};
-pub use repset::RepresentativeSet;
+pub use repset::{RepView, RepresentativeSet};
 
 use pit_graph::{CsrGraph, TopicId};
 use pit_topics::TopicSpace;

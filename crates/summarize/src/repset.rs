@@ -78,6 +78,103 @@ impl RepresentativeSet {
         &self.weights
     }
 
+    /// A borrowed view of this set.
+    #[inline]
+    pub fn view(&self) -> RepView<'_> {
+        RepView {
+            topic: self.topic,
+            nodes: &self.nodes,
+            weights: &self.weights,
+        }
+    }
+
+    /// The weight of `node`, or `None` if it is not a representative.
+    pub fn weight_of(&self, node: NodeId) -> Option<f64> {
+        self.view().weight_of(node)
+    }
+
+    /// Whether `node` is a representative.
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.view().contains(node)
+    }
+
+    /// Sum of all weights (≤ 1 for the paper's algorithms).
+    pub fn total_weight(&self) -> f64 {
+        self.view().total_weight()
+    }
+
+    /// Iterate `(node, weight)` pairs in node order.
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+        self.view().iter()
+    }
+
+    /// Keep only the `k` heaviest representatives; see
+    /// [`RepView::truncate_to_top`].
+    pub fn truncate_to_top(&self, k: usize) -> RepresentativeSet {
+        self.view().truncate_to_top(k)
+    }
+
+    /// Estimated resident heap size in bytes.
+    pub fn heap_size_bytes(&self) -> usize {
+        self.nodes.capacity() * std::mem::size_of::<NodeId>()
+            + self.weights.capacity() * std::mem::size_of::<f64>()
+    }
+}
+
+/// A representative set borrowed from wherever it is stored — a
+/// [`RepresentativeSet`] or one row of a flat representative index. Nodes
+/// are strictly ascending; weights are parallel to them.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct RepView<'a> {
+    topic: TopicId,
+    nodes: &'a [NodeId],
+    weights: &'a [f64],
+}
+
+impl<'a> RepView<'a> {
+    /// View parallel `nodes` / `weights` slices as the set of `topic`. The
+    /// caller guarantees the set invariants (ascending nodes, equal
+    /// lengths, finite non-negative weights).
+    #[inline]
+    pub fn new(topic: TopicId, nodes: &'a [NodeId], weights: &'a [f64]) -> Self {
+        debug_assert_eq!(nodes.len(), weights.len());
+        RepView {
+            topic,
+            nodes,
+            weights,
+        }
+    }
+
+    /// The topic this set summarizes.
+    #[inline]
+    pub fn topic(&self) -> TopicId {
+        self.topic
+    }
+
+    /// Number of representative nodes.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Whether the set is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.nodes.is_empty()
+    }
+
+    /// Sorted representative node ids.
+    #[inline]
+    pub fn nodes(&self) -> &'a [NodeId] {
+        self.nodes
+    }
+
+    /// Weights parallel to [`RepView::nodes`].
+    #[inline]
+    pub fn weights(&self) -> &'a [f64] {
+        self.weights
+    }
+
     /// The weight of `node`, or `None` if it is not a representative.
     pub fn weight_of(&self, node: NodeId) -> Option<f64> {
         self.nodes
@@ -97,7 +194,7 @@ impl RepresentativeSet {
     }
 
     /// Iterate `(node, weight)` pairs in node order.
-    pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (NodeId, f64)> + 'a {
         self.nodes.iter().copied().zip(self.weights.iter().copied())
     }
 
@@ -105,27 +202,20 @@ impl RepresentativeSet {
     /// preserving node-sorted order. Used by the experiments that vary the
     /// materialized representative-set size (paper Figures 7 and 12).
     pub fn truncate_to_top(&self, k: usize) -> RepresentativeSet {
-        if k >= self.len() {
-            return self.clone();
-        }
         let mut order: Vec<usize> = (0..self.len()).collect();
-        order.sort_unstable_by(|&a, &b| {
-            self.weights[b]
-                .total_cmp(&self.weights[a])
-                .then(self.nodes[a].cmp(&self.nodes[b]))
-        });
-        order.truncate(k);
+        if k < self.len() {
+            order.sort_unstable_by(|&a, &b| {
+                self.weights[b]
+                    .total_cmp(&self.weights[a])
+                    .then(self.nodes[a].cmp(&self.nodes[b]))
+            });
+            order.truncate(k);
+        }
         let pairs = order
             .into_iter()
             .map(|i| (self.nodes[i], self.weights[i]))
             .collect();
         RepresentativeSet::new(self.topic, pairs)
-    }
-
-    /// Estimated resident heap size in bytes.
-    pub fn heap_size_bytes(&self) -> usize {
-        self.nodes.capacity() * std::mem::size_of::<NodeId>()
-            + self.weights.capacity() * std::mem::size_of::<f64>()
     }
 }
 

@@ -20,7 +20,6 @@
 
 pub mod lda;
 pub mod query;
-pub mod snapshot;
 pub mod space;
 pub mod synth;
 pub mod vocab;

@@ -1,69 +1,128 @@
 //! The topic space: which users mention which topics, in both directions.
 
 use pit_graph::{NodeId, TermId, TopicId};
+use pit_store::Csr;
 
 /// Immutable topic space with the two inverted indexes of the paper:
 /// `topic → topic-node set V_t` and `node → topic set T(v)`, plus the
 /// `topic → term bag` mapping that connects topics to keyword queries.
+///
+/// All four maps are [`Csr`] rows, owned when built in memory and viewed in
+/// place when loaded from a flat snapshot. Every row is strictly ascending.
 #[derive(Clone, Debug)]
 pub struct TopicSpace {
-    /// `topic_nodes[t]` = sorted, deduplicated `V_t`.
-    topic_nodes: Vec<Vec<NodeId>>,
-    /// `node_topics[v]` = sorted, deduplicated `T(v)`.
-    node_topics: Vec<Vec<TopicId>>,
-    /// `topic_terms[t]` = sorted term bag of topic `t`.
-    topic_terms: Vec<Vec<TermId>>,
-    /// Inverted `term → topics` index, aligned to the vocabulary.
-    term_topics: Vec<Vec<TopicId>>,
+    /// Row `t` = `V_t`.
+    topic_nodes: Csr<NodeId>,
+    /// Row `v` = `T(v)`; the transpose of `topic_nodes`.
+    node_topics: Csr<TopicId>,
+    /// Row `t` = the term bag of topic `t`.
+    topic_terms: Csr<TermId>,
+    /// Row `term` = the topics whose bag holds it; the transpose of
+    /// `topic_terms`, aligned to the vocabulary.
+    term_topics: Csr<TopicId>,
 }
 
 impl TopicSpace {
+    /// Assemble a space from stored rows, checking in one linear pass
+    /// everything the accessors rely on: the forward rows
+    /// (`topic_nodes`, `topic_terms`, one per topic) are strictly ascending
+    /// and in range, and each inverse (`node_topics` over `node_count`
+    /// rows, `term_topics` over `term_count` rows) is exactly the
+    /// transpose of its forward map.
+    ///
+    /// # Errors
+    /// A message naming the first violated rule.
+    pub fn from_raw_parts(
+        topic_nodes: Csr<NodeId>,
+        node_topics: Csr<TopicId>,
+        topic_terms: Csr<TermId>,
+        term_topics: Csr<TopicId>,
+    ) -> Result<TopicSpace, String> {
+        if topic_nodes.rows() != topic_terms.rows() {
+            return Err(format!(
+                "{} member lists for {} term bags",
+                topic_nodes.rows(),
+                topic_terms.rows()
+            ));
+        }
+        check_transpose(
+            &topic_nodes,
+            &node_topics,
+            NodeId::index,
+            TopicId::from_index,
+        )
+        .map_err(|e| format!("topic members: {e}"))?;
+        check_transpose(
+            &topic_terms,
+            &term_topics,
+            TermId::index,
+            TopicId::from_index,
+        )
+        .map_err(|e| format!("topic terms: {e}"))?;
+        Ok(TopicSpace {
+            topic_nodes,
+            node_topics,
+            topic_terms,
+            term_topics,
+        })
+    }
+
+    /// The four row maps, in [`TopicSpace::from_raw_parts`] argument order.
+    pub fn raw_parts(&self) -> (&Csr<NodeId>, &Csr<TopicId>, &Csr<TermId>, &Csr<TopicId>) {
+        (
+            &self.topic_nodes,
+            &self.node_topics,
+            &self.topic_terms,
+            &self.term_topics,
+        )
+    }
+
     /// Number of topics `|T|`.
     #[inline]
     pub fn topic_count(&self) -> usize {
-        self.topic_nodes.len()
+        self.topic_nodes.rows()
     }
 
     /// Number of nodes the space was built for.
     #[inline]
     pub fn node_count(&self) -> usize {
-        self.node_topics.len()
+        self.node_topics.rows()
     }
 
     /// Number of terms in the vocabulary this space references.
     #[inline]
     pub fn term_count(&self) -> usize {
-        self.term_topics.len()
+        self.term_topics.rows()
     }
 
     /// The topic node set `V_t` (paper: "inverted node index"). Sorted.
     #[inline]
     pub fn topic_nodes(&self, t: TopicId) -> &[NodeId] {
-        &self.topic_nodes[t.index()]
+        self.topic_nodes.row(t.index())
     }
 
     /// The topic set `T(v)` of a node. Sorted.
     #[inline]
     pub fn node_topics(&self, v: NodeId) -> &[TopicId] {
-        &self.node_topics[v.index()]
+        self.node_topics.row(v.index())
     }
 
     /// The term bag of a topic. Sorted.
     #[inline]
     pub fn topic_terms(&self, t: TopicId) -> &[TermId] {
-        &self.topic_terms[t.index()]
+        self.topic_terms.row(t.index())
     }
 
     /// All topics whose term bag contains `term` (the q-related topics for a
     /// single-keyword query). Sorted.
     #[inline]
     pub fn topics_for_term(&self, term: TermId) -> &[TopicId] {
-        &self.term_topics[term.index()]
+        self.term_topics.row(term.index())
     }
 
     /// Whether node `v` mentions topic `t`.
     pub fn node_has_topic(&self, v: NodeId, t: TopicId) -> bool {
-        self.node_topics[v.index()].binary_search(&t).is_ok()
+        self.node_topics(v).binary_search(&t).is_ok()
     }
 
     /// Iterator over all topic ids.
@@ -73,40 +132,75 @@ impl TopicSpace {
 
     /// Mean `|V_t|` over all topics.
     pub fn avg_topic_node_count(&self) -> f64 {
-        if self.topic_nodes.is_empty() {
+        if self.topic_count() == 0 {
             return 0.0;
         }
-        let total: usize = self.topic_nodes.iter().map(Vec::len).sum();
-        total as f64 / self.topic_nodes.len() as f64
+        self.topic_nodes.data().len() as f64 / self.topic_count() as f64
     }
 
     /// Copy this space back into a builder, e.g. to apply new topic
     /// assignments and rebuild (spaces are immutable).
     pub fn to_builder(&self) -> TopicSpaceBuilder {
-        let mut b = TopicSpaceBuilder::new(self.node_count(), self.term_count());
-        for t in self.topics() {
-            let nt = b.add_topic(self.topic_terms(t).to_vec());
-            debug_assert_eq!(nt, t);
-            for &v in self.topic_nodes(t) {
-                b.assign(v, nt);
-            }
+        TopicSpaceBuilder {
+            node_count: self.node_count(),
+            term_count: self.term_count(),
+            topic_nodes: self.topic_nodes.iter().map(<[NodeId]>::to_vec).collect(),
+            topic_terms: self.topic_terms.iter().map(<[TermId]>::to_vec).collect(),
         }
-        b
     }
 
-    /// Estimated resident heap size in bytes.
-    pub fn heap_size_bytes(&self) -> usize {
-        fn nested<T>(v: &[Vec<T>]) -> usize {
-            v.iter()
-                .map(|inner| inner.capacity() * std::mem::size_of::<T>())
-                .sum::<usize>()
-                + std::mem::size_of_val(v)
-        }
-        nested(&self.topic_nodes)
-            + nested(&self.node_topics)
-            + nested(&self.topic_terms)
-            + nested(&self.term_topics)
+    /// Bytes of the space borrowed from a snapshot mapping (0 when owned).
+    pub fn mapped_bytes(&self) -> usize {
+        self.topic_nodes.mapped_bytes()
+            + self.node_topics.mapped_bytes()
+            + self.topic_terms.mapped_bytes()
+            + self.term_topics.mapped_bytes()
     }
+
+    /// Size of the four row maps in bytes, regardless of backing.
+    pub fn heap_size_bytes(&self) -> usize {
+        self.topic_nodes.size_bytes()
+            + self.node_topics.size_bytes()
+            + self.topic_terms.size_bytes()
+            + self.term_topics.size_bytes()
+    }
+}
+
+/// Check that every `fwd` row is strictly ascending with ids below
+/// `inv.rows()`, and that `inv` is exactly the transpose of `fwd`: id `x`
+/// sits in `fwd` row `r` iff `r` sits in `inv` row `x`. Walking `fwd` in
+/// row order with one cursor per `inv` row makes this linear, and it also
+/// proves every `inv` row strictly ascending.
+fn check_transpose<A: pit_store::Pod + Ord, B: pit_store::Pod + PartialEq>(
+    fwd: &Csr<A>,
+    inv: &Csr<B>,
+    index: impl Fn(A) -> usize,
+    id: impl Fn(usize) -> B,
+) -> Result<(), String> {
+    let n = inv.rows();
+    let (ends, data) = (&inv.offsets()[1..], inv.data());
+    let mut cursor: Vec<usize> = inv.offsets()[..n].iter().map(|&o| o as usize).collect();
+    for r in 0..fwd.rows() {
+        let row = fwd.row(r);
+        if row.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(format!("row {r} is not strictly ascending"));
+        }
+        for &x in row {
+            let x = index(x);
+            if x >= n {
+                return Err(format!("row {r} holds id {x}, out of range {n}"));
+            }
+            let c = cursor[x];
+            if c as u64 >= ends[x] || data[c] != id(r) {
+                return Err(format!("inverse row {x} disagrees with row {r}"));
+            }
+            cursor[x] = c + 1;
+        }
+    }
+    if let Some(x) = (0..n).find(|&x| cursor[x] as u64 != ends[x]) {
+        return Err(format!("inverse row {x} holds ids its forward rows lack"));
+    }
+    Ok(())
 }
 
 /// Incremental [`TopicSpace`] construction.
@@ -199,10 +293,10 @@ impl TopicSpaceBuilder {
             }
         }
         TopicSpace {
-            topic_nodes: self.topic_nodes,
-            node_topics,
-            topic_terms: self.topic_terms,
-            term_topics,
+            topic_nodes: Csr::from_rows(&self.topic_nodes),
+            node_topics: Csr::from_rows(&node_topics),
+            topic_terms: Csr::from_rows(&self.topic_terms),
+            term_topics: Csr::from_rows(&term_topics),
         }
     }
 }

@@ -4,13 +4,17 @@
 //! keywords and topic term bags both reference terms by [`TermId`].
 
 use pit_graph::TermId;
+use pit_store::Csr;
 use rustc_hash::FxHashMap;
 
-/// Bidirectional term interner.
+/// Bidirectional term interner. The strings are one [`Csr`] of UTF-8
+/// bytes (owned, or viewed in place from a flat snapshot); the
+/// string-to-id map is derived from them.
 #[derive(Clone, Debug, Default)]
 pub struct Vocabulary {
-    terms: Vec<String>,
-    lookup: FxHashMap<String, TermId>,
+    /// Row `i` = the UTF-8 bytes of term `i`.
+    text: Csr<u8>,
+    lookup: FxHashMap<Box<str>, TermId>,
 }
 
 impl Vocabulary {
@@ -19,14 +23,36 @@ impl Vocabulary {
         Self::default()
     }
 
+    /// Assemble a vocabulary from stored term bytes, rejecting a term that
+    /// is not UTF-8 or that repeats an earlier one.
+    ///
+    /// # Errors
+    /// A message naming the offending term id.
+    pub fn from_raw_parts(text: Csr<u8>) -> Result<Vocabulary, String> {
+        let mut lookup = FxHashMap::default();
+        lookup.reserve(text.rows());
+        for (i, bytes) in text.iter().enumerate() {
+            let term = std::str::from_utf8(bytes).map_err(|_| format!("term {i} is not UTF-8"))?;
+            if lookup.insert(term.into(), TermId::from_index(i)).is_some() {
+                return Err(format!("term {i} duplicates an earlier term"));
+            }
+        }
+        Ok(Vocabulary { text, lookup })
+    }
+
+    /// The term bytes, one row per term id.
+    pub fn raw_parts(&self) -> &Csr<u8> {
+        &self.text
+    }
+
     /// Number of interned terms.
     pub fn len(&self) -> usize {
-        self.terms.len()
+        self.text.rows()
     }
 
     /// Whether the vocabulary is empty.
     pub fn is_empty(&self) -> bool {
-        self.terms.is_empty()
+        self.len() == 0
     }
 
     /// Intern `term`, returning its id (existing id if already present).
@@ -34,9 +60,9 @@ impl Vocabulary {
         if let Some(&id) = self.lookup.get(term) {
             return id;
         }
-        let id = TermId::from_index(self.terms.len());
-        self.terms.push(term.to_string());
-        self.lookup.insert(term.to_string(), id);
+        let id = TermId::from_index(self.len());
+        self.text.push_row(term.as_bytes());
+        self.lookup.insert(term.into(), id);
         id
     }
 
@@ -50,18 +76,12 @@ impl Vocabulary {
     /// # Panics
     /// Panics if `id` was not produced by this vocabulary.
     pub fn term(&self, id: TermId) -> &str {
-        &self.terms[id.index()]
+        std::str::from_utf8(self.text.row(id.index())).expect("terms are validated UTF-8")
     }
 
-    /// Rebuild the lookup map (needed after deserialization, where the map is
-    /// skipped).
-    pub fn rebuild_lookup(&mut self) {
-        self.lookup = self
-            .terms
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.clone(), TermId::from_index(i)))
-            .collect();
+    /// Bytes of the term text borrowed from a snapshot mapping.
+    pub fn mapped_bytes(&self) -> usize {
+        self.text.mapped_bytes()
     }
 
     /// Generate a synthetic vocabulary of `n` tags: `tag-0 .. tag-{n-1}`.
@@ -109,11 +129,16 @@ mod tests {
     }
 
     #[test]
-    fn rebuild_lookup_restores_queries() {
-        let mut v = Vocabulary::synthetic(5);
-        v.lookup.clear(); // simulate deserialization
-        assert_eq!(v.get("tag-2"), None);
-        v.rebuild_lookup();
-        assert_eq!(v.get("tag-2"), Some(TermId(2)));
+    fn raw_parts_roundtrip_and_reject_bad_terms() {
+        let v = Vocabulary::synthetic(5);
+        let text = v.raw_parts().clone();
+        let back = Vocabulary::from_raw_parts(text).unwrap();
+        assert_eq!(back.get("tag-2"), Some(TermId(2)));
+        assert_eq!(back.term(TermId(4)), "tag-4");
+
+        let bad_utf8 = Csr::from_rows([&b"ok"[..], &[0xFF, 0xFE]]);
+        assert!(Vocabulary::from_raw_parts(bad_utf8).is_err());
+        let dup = Csr::from_rows([&b"phone"[..], b"phone"]);
+        assert!(Vocabulary::from_raw_parts(dup).is_err());
     }
 }

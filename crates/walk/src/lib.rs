@@ -29,7 +29,6 @@
 pub mod engine;
 pub mod hoeffding;
 pub mod index;
-pub mod snapshot;
 
 pub use engine::{sample_walk, WalkConfig, WalkPolicy};
 pub use index::{WalkIndex, WalkIndexParts};

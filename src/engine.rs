@@ -317,7 +317,12 @@ impl PitEngine {
     /// (0 for engines built in memory or deep-copied off disk). Feeds the
     /// `pit_reload_bytes_mapped` gauge.
     pub fn mapped_bytes(&self) -> usize {
-        self.graph.mapped_bytes() + self.walks.mapped_bytes() + self.prop.mapped_bytes()
+        self.graph.mapped_bytes()
+            + self.space.mapped_bytes()
+            + self.vocab.as_ref().map_or(0, Vocabulary::mapped_bytes)
+            + self.walks.mapped_bytes()
+            + self.prop.mapped_bytes()
+            + self.reps.mapped_bytes()
     }
 
     /// How this engine's arrays are backed: `"flat-mapped"` when any index

@@ -5,61 +5,78 @@
 //! when the social network and topics have changed" (Section 4.4); between
 //! refreshes, a deployment serves queries from the materialized artifacts.
 //!
-//! [`save_engine`] writes one sectioned, checksummed flat container,
-//! `engine.pitf` (the `pit-store` format: 32-byte header, section table,
-//! 16-byte-aligned little-endian payloads), staging the directory and
-//! `rename`-ing it into place so a crash mid-save can never leave a torn,
-//! half-written engine where a live `RELOAD` (or later [`load_engine`])
-//! would find it:
+//! This module is the one place that knows the on-disk layout. Every
+//! artifact is a set of typed array sections of a `pit-store` flat
+//! container (32-byte header, section table, 16-byte-aligned little-endian
+//! payloads); variable-length lists are [`Csr`] offset/data pairs.
+//!
+//! [`save_engine`] writes `engine.pitf`, staging the directory, fsyncing
+//! it and `rename`-ing it into place so a crash mid-save can never leave a
+//! torn, half-written engine where a live `RELOAD` (or later
+//! [`load_engine`]) would find it:
 //!
 //! ```text
-//! <dir>/engine.pitf     flat snapshot: META blob, the six CSR-graph
-//!                       arrays, the five walk-index arrays, the five
-//!                       propagation-index arrays, and the topic-space /
-//!                       vocabulary / representative-index blobs
+//! <dir>/engine.pitf     flat snapshot: META, the six CSR-graph arrays,
+//!                       the five walk-index and five propagation-index
+//!                       arrays, the topic space (four CSR maps), the
+//!                       vocabulary (offsets + UTF-8 bytes) and the
+//!                       representative index (offsets, nodes, weights)
 //! <dir>/shard.pits      shard manifest (sharded saves only)
 //! ```
 //!
-//! Three loaders trade validation depth for speed; all of them parse the
-//! META blob through the bounds-checked [`pit_store::ByteReader`] and run
-//! the same O(1) cross-artifact consistency checks:
+//! [`save_dataset`] writes a generated corpus as `dataset.pitf` with the
+//! same graph, topic and vocabulary sections, and [`load_dataset`] reads it
+//! back for the offline build.
+//!
+//! Three loaders trade validation depth for speed. All of them parse META
+//! through the bounds-checked [`pit_store::ByteReader`], validate the topic
+//! space, vocabulary and representative index in one linear pass, and run
+//! the same cross-artifact consistency checks:
 //!
 //! - [`load_engine`] — maps the file read-only, validates the section
 //!   geometry in O(sections), verifies every payload checksum in one
-//!   streaming pass, and *borrows* the big arrays straight from the
-//!   mapping (no per-element copies). The default for serving.
+//!   streaming pass, and *borrows* every array straight from the mapping
+//!   (no per-element copies). The default for serving.
 //! - [`load_engine_fast`] — like [`load_engine`] but skips the payload
-//!   checksum pass: O(sections) total, for `RELOAD` of snapshots this
-//!   process (or its deploy pipeline) just wrote and checksummed.
+//!   checksum pass, for `RELOAD` of snapshots this process (or its deploy
+//!   pipeline) just wrote and checksummed.
 //! - [`load_engine_owned`] — deep-copies every array into owned memory and
-//!   runs the per-element `validate_deep` invariants. The paranoid path
-//!   for artifacts of unknown provenance, and the baseline the zero-copy
-//!   loaders are proven bit-identical against.
+//!   also runs the per-element `validate_deep` invariants of the graph,
+//!   walk and propagation arrays. The paranoid path for artifacts of
+//!   unknown provenance, and the baseline the zero-copy loaders are proven
+//!   bit-identical against.
 //!
 //! A directory holding the pre-flat per-artifact layout (`graph.pitg` et
-//! al.) is reported as [`StoreError::UnsupportedVersion`], not garbage:
-//! re-run the offline stage to produce a flat snapshot.
+//! al.) or an older flat container version is reported as
+//! [`StoreError::UnsupportedVersion`], not garbage: re-run the offline
+//! stage to produce a current snapshot.
 
 use crate::engine::{PitEngine, SummarizerKind};
-use pit_graph::{CsrGraph, NodeId};
+use pit_graph::{CsrGraph, NodeId, TermId, TopicId};
 use pit_index::{PropIndexConfig, PropagationIndex};
-use pit_store::{ByteReader, FlatError, FlatFile, FlatWriter, Pod, Sect};
+use pit_search_core::TopicRepIndex;
+use pit_store::{ByteReader, Csr, FlatError, FlatFile, FlatWriter, Pod, Sect};
+use pit_summarize::{LrwConfig, PageRankInit, RclConfig};
+use pit_topics::{TopicSpace, Vocabulary};
 use pit_walk::{WalkConfig, WalkIndex, WalkIndexParts, WalkPolicy};
 use std::fs;
-use std::io;
-use std::path::Path;
+use std::io::{self, Write};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// File name of the flat snapshot inside an engine directory.
 pub const FLAT_FILE: &str = "engine.pitf";
+
+/// File name of a generated corpus inside a dataset directory.
+pub const DATASET_FILE: &str = "dataset.pitf";
 
 /// Marker artifact of the legacy (pre-flat) per-file layout, used only to
 /// tell "old snapshot" apart from "no snapshot" in error reporting.
 const LEGACY_GRAPH_FILE: &str = "graph.pitg";
 
-// Section kinds of the engine container. Kind 0 is reserved by the format
-// for the header/table region; blobs carry their artifact's own magic-and-
-// version framing, arrays are raw little-endian element runs.
-/// Engine settings blob (see [`encode_meta`] for the byte layout).
+// Section kinds. Kind 0 is reserved by the format for the header/table
+// region; every section but META is a raw little-endian element run.
+/// Engine settings blob (byte layout documented on `encode_meta`).
 pub const SEC_META: u16 = 1;
 /// Graph out-CSR offsets (`u32`, `node_count + 1`).
 pub const SEC_GRAPH_OUT_OFFSETS: u16 = 2;
@@ -93,12 +110,33 @@ pub const SEC_PROP_PROBS: u16 = 15;
 pub const SEC_PROP_MARKED_OFFSETS: u16 = 16;
 /// Propagation-index marked node lists (`NodeId`).
 pub const SEC_PROP_MARKED: u16 = 17;
-/// Topic-space blob (`pit_topics::snapshot` framing).
-pub const SEC_TOPICS: u16 = 18;
-/// Vocabulary blob, present only when the engine retains one.
-pub const SEC_VOCAB: u16 = 19;
-/// Topic-to-representative index blob (`pit_search_core::snapshot`).
-pub const SEC_REPS: u16 = 20;
+/// Topic → member offsets (`u64`, `topic_count + 1`).
+pub const SEC_TOPIC_NODE_OFFSETS: u16 = 18;
+/// Topic → member node ids (`NodeId`), each row ascending.
+pub const SEC_TOPIC_NODES: u16 = 19;
+/// Node → topic offsets (`u64`, `node_count + 1`).
+pub const SEC_NODE_TOPIC_OFFSETS: u16 = 20;
+/// Node → topic ids (`TopicId`), the transpose of the member lists.
+pub const SEC_NODE_TOPICS: u16 = 21;
+/// Topic → term offsets (`u64`, `topic_count + 1`).
+pub const SEC_TOPIC_TERM_OFFSETS: u16 = 22;
+/// Topic → term ids (`TermId`), each row ascending.
+pub const SEC_TOPIC_TERMS: u16 = 23;
+/// Term → topic offsets (`u64`, `term_count + 1`).
+pub const SEC_TERM_TOPIC_OFFSETS: u16 = 24;
+/// Term → topic ids (`TopicId`), the transpose of the term bags.
+pub const SEC_TERM_TOPICS: u16 = 25;
+/// Vocabulary term offsets (`u64`, `term_count + 1`); present only when
+/// the engine retains a vocabulary.
+pub const SEC_VOCAB_OFFSETS: u16 = 26;
+/// Vocabulary term text (`u8`, UTF-8).
+pub const SEC_VOCAB_BYTES: u16 = 27;
+/// Representative-index offsets (`u64`, `topic_count + 1`).
+pub const SEC_REP_OFFSETS: u16 = 28;
+/// Representative node ids (`NodeId`), each row ascending.
+pub const SEC_REP_NODES: u16 = 29;
+/// Representative weights (`f64`), parallel to the node ids.
+pub const SEC_REP_WEIGHTS: u16 = 30;
 
 /// Errors from saving or loading an engine directory.
 #[derive(Debug)]
@@ -108,7 +146,7 @@ pub enum StoreError {
     /// A snapshot failed validation; the string names the artifact.
     Corrupt(String),
     /// The directory holds a snapshot format this build does not read
-    /// (legacy per-artifact layout, or a newer flat container version).
+    /// (legacy per-artifact layout, or another flat container version).
     /// Re-running the offline stage produces a loadable snapshot.
     UnsupportedVersion(String),
 }
@@ -143,10 +181,13 @@ impl From<FlatError> for StoreError {
 }
 
 /// Persist every artifact of `engine` under `dir` (created if absent),
-/// crash-atomically: the flat snapshot is staged into a hidden sibling
-/// directory and `rename`d into place only once fully written, so a crash
-/// mid-save leaves either the previous engine or the new one — never a
-/// torn snapshot that a concurrent or later [`load_engine`] could read.
+/// crash-atomically and durably: the flat snapshot is written and fsynced
+/// into a hidden sibling directory, which is fsynced and `rename`d into
+/// place only once complete, so a crash mid-save leaves either the
+/// previous engine or the new one — never a torn snapshot that a
+/// concurrent or later [`load_engine`] could read. Concurrent saves of one
+/// target each stage under their own name; each either commits a complete
+/// engine or returns an error.
 pub fn save_engine(dir: &Path, engine: &PitEngine) -> Result<(), StoreError> {
     save_engine_inner(dir, engine, None)
 }
@@ -171,18 +212,14 @@ fn save_engine_inner(
 ) -> Result<(), StoreError> {
     let (parent, name) = split_target(dir)?;
     fs::create_dir_all(&parent)?;
-    let staging = parent.join(format!(".{name}.staging.{}", std::process::id()));
-    let _ = fs::remove_dir_all(&staging);
-    fs::create_dir_all(&staging)?;
-    let staged = write_artifacts(&staging, engine)
+    let staging = reserve_sibling(&parent, &name, "staging")?;
+    let staged = write_synced(&staging.join(FLAT_FILE), &encode_flat(engine).to_bytes()?)
         .and_then(|()| match shard {
-            Some(spec) => {
-                fs::write(staging.join(crate::shard::MANIFEST_FILE), spec.encode())?;
-                Ok(())
-            }
+            Some(spec) => write_synced(&staging.join(crate::shard::MANIFEST_FILE), &spec.encode()),
             None => Ok(()),
         })
-        .and_then(|()| commit(&staging, dir));
+        .and_then(|()| sync_dir(&staging))
+        .and_then(|()| commit(&staging, dir, &parent, &name));
     if staged.is_err() {
         let _ = fs::remove_dir_all(&staging);
     }
@@ -205,7 +242,7 @@ pub fn load_shard_spec(dir: &Path) -> Result<Option<crate::shard::ShardSpec>, St
 
 /// Split `dir` into its parent directory and file name, defaulting the
 /// parent to `.` for bare relative names.
-fn split_target(dir: &Path) -> Result<(std::path::PathBuf, String), StoreError> {
+fn split_target(dir: &Path) -> Result<(PathBuf, String), StoreError> {
     let name = dir
         .file_name()
         .ok_or_else(|| {
@@ -218,51 +255,81 @@ fn split_target(dir: &Path) -> Result<(std::path::PathBuf, String), StoreError> 
         .into_owned();
     let parent = match dir.parent() {
         Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-        _ => std::path::PathBuf::from("."),
+        _ => PathBuf::from("."),
     };
     Ok((parent, name))
 }
 
-/// Move a fully staged engine directory into place, replacing any previous
-/// engine at `dir`. The previous engine is parked next to the target first
-/// so a rename failure can roll it back.
-fn commit(staging: &Path, dir: &Path) -> Result<(), StoreError> {
-    if dir.exists() {
-        let (parent, name) = split_target(dir)?;
-        let parked = parent.join(format!(".{name}.old.{}", std::process::id()));
-        let _ = fs::remove_dir_all(&parked);
-        fs::rename(dir, &parked)?;
-        if let Err(e) = fs::rename(staging, dir) {
-            let _ = fs::rename(&parked, dir); // roll the old engine back
-            return Err(e.into());
+/// Create a fresh hidden directory `.{name}.{tag}.{pid}.{n}` next to the
+/// target. `n` comes from a process-wide counter and the directory is
+/// created with create-new semantics, so no two saves — in this process or
+/// another — ever share one.
+fn reserve_sibling(parent: &Path, name: &str, tag: &str) -> Result<PathBuf, StoreError> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    loop {
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let path = parent.join(format!(".{name}.{tag}.{}.{n}", std::process::id()));
+        match fs::create_dir(&path) {
+            Ok(()) => return Ok(path),
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e.into()),
         }
-        let _ = fs::remove_dir_all(&parked);
-    } else {
-        fs::rename(staging, dir)?;
+    }
+}
+
+/// Write `bytes` to a new file at `path` and fsync it.
+fn write_synced(path: &Path, bytes: &[u8]) -> Result<(), StoreError> {
+    let mut file = fs::File::create(path)?;
+    file.write_all(bytes)?;
+    file.sync_all()?;
+    Ok(())
+}
+
+/// Fsync a directory so renames and creations inside it are durable.
+/// Directories cannot be opened for syncing on every platform; elsewhere
+/// this is a no-op.
+fn sync_dir(dir: &Path) -> Result<(), StoreError> {
+    if cfg!(unix) {
+        fs::File::open(dir)?.sync_all()?;
     }
     Ok(())
 }
 
-/// Write the flat snapshot of `engine` into `dir`, which must exist.
-fn write_artifacts(dir: &Path, engine: &PitEngine) -> Result<(), StoreError> {
-    encode_flat(engine).write_to(&dir.join(FLAT_FILE))?;
-    Ok(())
+/// Move a fully staged engine directory into place, replacing any previous
+/// engine at `dir`. The previous engine is parked inside a fresh hidden
+/// sibling first so a rename failure can roll it back; the parent
+/// directory is fsynced once the new engine is in place.
+fn commit(staging: &Path, dir: &Path, parent: &Path, name: &str) -> Result<(), StoreError> {
+    if dir.exists() {
+        let park = reserve_sibling(parent, name, "old")?;
+        let parked = park.join(name);
+        if let Err(e) = fs::rename(dir, &parked) {
+            let _ = fs::remove_dir(&park);
+            return Err(e.into());
+        }
+        if let Err(e) = fs::rename(staging, dir) {
+            // Roll the old engine back. If that fails because a concurrent
+            // save committed in between, the parked copy is obsolete;
+            // otherwise keep it rather than lose the only engine.
+            if fs::rename(&parked, dir).is_ok() || dir.exists() {
+                let _ = fs::remove_dir_all(&park);
+            }
+            return Err(e.into());
+        }
+        let _ = fs::remove_dir_all(&park);
+    } else {
+        fs::rename(staging, dir)?;
+    }
+    sync_dir(parent)
 }
 
 /// Lay the engine out as a flat container. Array sections are pushed from
-/// the indexes' `raw_parts` views, so this is one sequential encode pass
+/// the artifacts' `raw_parts` views, so this is one sequential encode pass
 /// with no intermediate per-artifact buffers.
 fn encode_flat(engine: &PitEngine) -> FlatWriter {
     let mut w = FlatWriter::new();
     w.push_blob(SEC_META, &encode_meta(engine));
-
-    let (oo, ot, op, io_, is_, ip) = engine.graph().raw_parts();
-    w.push_array(SEC_GRAPH_OUT_OFFSETS, oo);
-    w.push_array(SEC_GRAPH_OUT_TARGETS, ot);
-    w.push_array(SEC_GRAPH_OUT_PROBS, op);
-    w.push_array(SEC_GRAPH_IN_OFFSETS, io_);
-    w.push_array(SEC_GRAPH_IN_SOURCES, is_);
-    w.push_array(SEC_GRAPH_IN_PROBS, ip);
+    push_graph(&mut w, engine.graph());
 
     let (wo, wd, wf, ro, rd) = engine.walks().raw_parts();
     w.push_array(SEC_WALK_OFFSETS, wo);
@@ -278,21 +345,37 @@ fn encode_flat(engine: &PitEngine) -> FlatWriter {
     w.push_array(SEC_PROP_MARKED_OFFSETS, mo);
     w.push_array(SEC_PROP_MARKED, mk);
 
-    w.push_blob(
-        SEC_TOPICS,
-        pit_topics::snapshot::encode_space(engine.space()).as_ref(),
-    );
-    if let Some(vocab) = engine.vocab() {
-        w.push_blob(
-            SEC_VOCAB,
-            pit_topics::snapshot::encode_vocab(vocab).as_ref(),
-        );
-    }
-    w.push_blob(
-        SEC_REPS,
-        pit_search_core::snapshot::encode(engine.reps()).as_ref(),
-    );
+    push_topics(&mut w, engine.space(), engine.vocab());
+    let (nodes, weights) = engine.reps().raw_parts();
+    push_csr(&mut w, SEC_REP_OFFSETS, SEC_REP_NODES, nodes);
+    w.push_array(SEC_REP_WEIGHTS, weights);
     w
+}
+
+fn push_csr<T: Pod>(w: &mut FlatWriter, offsets: u16, data: u16, csr: &Csr<T>) {
+    w.push_array(offsets, csr.offsets());
+    w.push_array(data, csr.data());
+}
+
+fn push_graph(w: &mut FlatWriter, graph: &CsrGraph) {
+    let (oo, ot, op, io_, is_, ip) = graph.raw_parts();
+    w.push_array(SEC_GRAPH_OUT_OFFSETS, oo);
+    w.push_array(SEC_GRAPH_OUT_TARGETS, ot);
+    w.push_array(SEC_GRAPH_OUT_PROBS, op);
+    w.push_array(SEC_GRAPH_IN_OFFSETS, io_);
+    w.push_array(SEC_GRAPH_IN_SOURCES, is_);
+    w.push_array(SEC_GRAPH_IN_PROBS, ip);
+}
+
+fn push_topics(w: &mut FlatWriter, space: &TopicSpace, vocab: Option<&Vocabulary>) {
+    let (topic_nodes, node_topics, topic_terms, term_topics) = space.raw_parts();
+    push_csr(w, SEC_TOPIC_NODE_OFFSETS, SEC_TOPIC_NODES, topic_nodes);
+    push_csr(w, SEC_NODE_TOPIC_OFFSETS, SEC_NODE_TOPICS, node_topics);
+    push_csr(w, SEC_TOPIC_TERM_OFFSETS, SEC_TOPIC_TERMS, topic_terms);
+    push_csr(w, SEC_TERM_TOPIC_OFFSETS, SEC_TERM_TOPICS, term_topics);
+    if let Some(vocab) = vocab {
+        push_csr(w, SEC_VOCAB_OFFSETS, SEC_VOCAB_BYTES, vocab.raw_parts());
+    }
 }
 
 /// Decoded engine settings from the META blob.
@@ -308,7 +391,11 @@ struct Meta {
 /// Serialize the engine settings the array sections cannot carry:
 ///
 /// ```text
-/// summarizer kind      u8   (0 = RCL, 1 = LRW)
+/// summarizer kind      u8   (0 = RCL, 1 = LRW), then its configuration:
+///   RCL  c_size u64 | sample_rate f64 | max_tree_nodes u64
+///        | refine_centroids u8 | max_cluster_input u64 | seed u64
+///   LRW  lambda f64 | mu f64 | rep_count u64 (0 = derive from mu)
+///        | init u8 (0 = topic prior, 1 = all ones)
 /// max_expand_rounds    u32
 /// node_count           u64
 /// walk L               u32
@@ -323,14 +410,32 @@ fn encode_meta(engine: &PitEngine) -> Vec<u8> {
     let wc = engine.walks().config();
     let parts = engine.walks().parts();
     let pc = engine.propagation().config();
-    let mut meta = Vec::with_capacity(48);
-    meta.push(match engine.summarizer() {
-        SummarizerKind::Rcl(_) => 0u8,
-        SummarizerKind::Lrw(_) => 1,
-    });
+    let mut meta = Vec::with_capacity(96);
+    let len = |n: usize| (n as u64).to_le_bytes();
+    match engine.summarizer() {
+        SummarizerKind::Rcl(c) => {
+            meta.push(0u8);
+            meta.extend_from_slice(&len(c.c_size));
+            meta.extend_from_slice(&c.sample_rate.to_le_bytes());
+            meta.extend_from_slice(&len(c.max_tree_nodes));
+            meta.push(u8::from(c.refine_centroids));
+            meta.extend_from_slice(&len(c.max_cluster_input));
+            meta.extend_from_slice(&c.seed.to_le_bytes());
+        }
+        SummarizerKind::Lrw(c) => {
+            meta.push(1u8);
+            meta.extend_from_slice(&c.lambda.to_le_bytes());
+            meta.extend_from_slice(&c.mu.to_le_bytes());
+            meta.extend_from_slice(&len(c.rep_count.unwrap_or(0)));
+            meta.push(match c.init {
+                PageRankInit::TopicPrior => 0,
+                PageRankInit::AllOnes => 1,
+            });
+        }
+    }
     let rounds = u32::try_from(engine.max_expand_rounds()).unwrap_or(u32::MAX);
     meta.extend_from_slice(&rounds.to_le_bytes());
-    meta.extend_from_slice(&(engine.graph().node_count() as u64).to_le_bytes());
+    meta.extend_from_slice(&len(engine.graph().node_count()));
     meta.extend_from_slice(&(wc.l.min(u32::MAX as usize) as u32).to_le_bytes());
     meta.extend_from_slice(&(wc.r.min(u32::MAX as usize) as u32).to_le_bytes());
     meta.push(match wc.policy {
@@ -345,20 +450,59 @@ fn encode_meta(engine: &PitEngine) -> Vec<u8> {
     meta
 }
 
+/// Parse the summarizer kind and configuration at the head of META,
+/// rejecting values the summarizers' constructors would refuse (so an
+/// `UPDATE` on a loaded engine can never panic on its stored settings).
+fn decode_summarizer(r: &mut ByteReader<'_>) -> Result<SummarizerKind, StoreError> {
+    let corrupt = |what: &str| StoreError::Corrupt(format!("meta: {what}"));
+    match r.read_u8()? {
+        0 => {
+            let c = RclConfig {
+                c_size: r.read_len()?,
+                sample_rate: r.read_f64()?,
+                max_tree_nodes: r.read_len()?,
+                refine_centroids: match r.read_u8()? {
+                    0 => false,
+                    1 => true,
+                    _ => return Err(corrupt("bad refine_centroids flag")),
+                },
+                max_cluster_input: r.read_len()?,
+                seed: r.read_u64()?,
+            };
+            if c.c_size == 0 || !(0.0..=1.0).contains(&c.sample_rate) {
+                return Err(corrupt("RCL configuration out of range"));
+            }
+            Ok(SummarizerKind::Rcl(c))
+        }
+        1 => {
+            let c = LrwConfig {
+                lambda: r.read_f64()?,
+                mu: r.read_f64()?,
+                rep_count: Some(r.read_len()?).filter(|&n| n > 0),
+                init: match r.read_u8()? {
+                    0 => PageRankInit::TopicPrior,
+                    1 => PageRankInit::AllOnes,
+                    _ => return Err(corrupt("unknown PageRank init")),
+                },
+            };
+            if !((0.0..=1.0).contains(&c.lambda) && c.mu > 0.0 && c.mu <= 1.0) {
+                return Err(corrupt("LRW configuration out of range"));
+            }
+            Ok(SummarizerKind::Lrw(c))
+        }
+        k => Err(corrupt(&format!("unknown summarizer kind {k}"))),
+    }
+}
+
 /// Parse the META blob through the bounds-checked reader — the one meta
-/// parser both the zero-copy and the owned loaders share. Every read is
-/// length-checked; trailing bytes are rejected.
+/// parser every loader shares. Every read is length-checked; trailing
+/// bytes are rejected.
 fn decode_meta(bytes: &[u8]) -> Result<Meta, StoreError> {
     let corrupt = |what: &str| StoreError::Corrupt(format!("meta: {what}"));
     let mut r = ByteReader::new(bytes, "engine meta");
-    let summarizer = match r.read_u8()? {
-        0 => SummarizerKind::default_rcl(),
-        1 => SummarizerKind::default_lrw(),
-        k => return Err(corrupt(&format!("unknown summarizer kind {k}"))),
-    };
+    let summarizer = decode_summarizer(&mut r)?;
     let max_expand_rounds = r.read_u32()? as usize;
-    let node_count = usize::try_from(r.read_u64()?)
-        .map_err(|_| corrupt("node count exceeds the address space"))?;
+    let node_count = r.read_len()?;
     let l = r.read_u32()? as usize;
     let walk_r = r.read_u32()? as usize;
     let policy = match r.read_u8()? {
@@ -400,29 +544,29 @@ fn decode_meta(bytes: &[u8]) -> Result<Meta, StoreError> {
 enum LoadMode {
     /// Borrow arrays from the mapping; verify every payload checksum.
     Verified,
-    /// Borrow arrays from the mapping; structural validation only.
+    /// Borrow arrays from the mapping; skip the checksum pass.
     Fast,
     /// Deep-copy arrays into owned memory and run per-element invariants.
     Owned,
 }
 
-/// Load an engine previously written by [`save_engine`], serving the big
-/// index arrays zero-copy from a read-only mapping of the flat snapshot.
-/// Section geometry is validated in O(sections) and every payload checksum
-/// is verified in one streaming pass; no per-element copies are made of
-/// the CSR, walk, or Γ sections.
-///
-/// The summarizer configuration itself is not persisted (the representative
-/// sets already embody it); the loaded engine reports the summarizer *kind*
-/// with default parameters.
+/// Load an engine previously written by [`save_engine`], serving every
+/// array zero-copy from a read-only mapping of the flat snapshot. Section
+/// geometry is validated in O(sections), every payload checksum is
+/// verified in one streaming pass, and the topic space, vocabulary and
+/// representative index are validated in one linear pass; no per-element
+/// copies are made. The summarizer and its full configuration are
+/// restored from META, so an `UPDATE` re-summarizes exactly as the
+/// offline build did.
 pub fn load_engine(dir: &Path) -> Result<PitEngine, StoreError> {
     load_flat(dir, LoadMode::Verified)
 }
 
-/// [`load_engine`] without the payload-checksum pass: O(sections) total,
-/// for `RELOAD` of a snapshot this process (or its deploy pipeline) just
-/// wrote and verified. Structural validation — magic, version, table
-/// geometry, alignment, array shapes — still runs in full.
+/// [`load_engine`] without the payload-checksum pass, for `RELOAD` of a
+/// snapshot this process (or its deploy pipeline) just wrote and verified.
+/// Structural validation — magic, version, table geometry, alignment,
+/// array shapes — and the linear topic/representative validation still run
+/// in full.
 pub fn load_engine_fast(dir: &Path) -> Result<PitEngine, StoreError> {
     load_flat(dir, LoadMode::Fast)
 }
@@ -446,37 +590,85 @@ fn section<T: Pod>(flat: &FlatFile, kind: u16, mode: LoadMode) -> Result<Sect<T>
     }
 }
 
-fn load_flat(dir: &Path, mode: LoadMode) -> Result<PitEngine, StoreError> {
-    let path = dir.join(FLAT_FILE);
+/// Fetch an offsets/data section pair as a geometry-checked [`Csr`].
+fn csr<T: Pod>(
+    flat: &FlatFile,
+    offsets: u16,
+    data: u16,
+    mode: LoadMode,
+) -> Result<Csr<T>, StoreError> {
+    Csr::from_parts(section(flat, offsets, mode)?, section(flat, data, mode)?)
+        .map_err(|e| StoreError::Corrupt(format!("section {data}: {e}")))
+}
+
+/// Open `path` as a flat container, reporting a missing file (and a legacy
+/// per-artifact directory) with a typed error, and verifying payload
+/// checksums unless `mode` is [`LoadMode::Fast`].
+fn open_flat(dir: &Path, file: &str, mode: LoadMode) -> Result<FlatFile, StoreError> {
+    let path = dir.join(file);
     if !path.exists() {
         if dir.join(LEGACY_GRAPH_FILE).exists() {
             return Err(StoreError::UnsupportedVersion(format!(
                 "{} holds a legacy per-artifact snapshot; re-run the offline \
-                 build to produce a flat {FLAT_FILE}",
+                 build to produce a flat {file}",
                 dir.display()
             )));
         }
         return Err(StoreError::Io(io::Error::new(
             io::ErrorKind::NotFound,
-            format!("no {FLAT_FILE} in {}", dir.display()),
+            format!("no {file} in {}", dir.display()),
         )));
     }
     let flat = FlatFile::open(&path)?;
     if mode != LoadMode::Fast {
         flat.verify_checksums()?;
     }
+    Ok(flat)
+}
 
-    let meta = decode_meta(flat.bytes_of(SEC_META)?)?;
-
+fn read_graph(flat: &FlatFile, mode: LoadMode) -> Result<CsrGraph, StoreError> {
     let graph = CsrGraph::from_raw_parts(
-        section::<u32>(&flat, SEC_GRAPH_OUT_OFFSETS, mode)?,
-        section::<NodeId>(&flat, SEC_GRAPH_OUT_TARGETS, mode)?,
-        section::<f64>(&flat, SEC_GRAPH_OUT_PROBS, mode)?,
-        section::<u32>(&flat, SEC_GRAPH_IN_OFFSETS, mode)?,
-        section::<NodeId>(&flat, SEC_GRAPH_IN_SOURCES, mode)?,
-        section::<f64>(&flat, SEC_GRAPH_IN_PROBS, mode)?,
+        section(flat, SEC_GRAPH_OUT_OFFSETS, mode)?,
+        section(flat, SEC_GRAPH_OUT_TARGETS, mode)?,
+        section(flat, SEC_GRAPH_OUT_PROBS, mode)?,
+        section(flat, SEC_GRAPH_IN_OFFSETS, mode)?,
+        section(flat, SEC_GRAPH_IN_SOURCES, mode)?,
+        section(flat, SEC_GRAPH_IN_PROBS, mode)?,
     )
     .map_err(|e| StoreError::Corrupt(format!("graph: {e}")))?;
+    if mode == LoadMode::Owned {
+        graph
+            .validate_deep()
+            .map_err(|e| StoreError::Corrupt(format!("graph: {e}")))?;
+    }
+    Ok(graph)
+}
+
+/// Read the topic space and, when its sections are present, the
+/// vocabulary.
+fn read_topics(
+    flat: &FlatFile,
+    mode: LoadMode,
+) -> Result<(TopicSpace, Option<Vocabulary>), StoreError> {
+    let space = TopicSpace::from_raw_parts(
+        csr::<NodeId>(flat, SEC_TOPIC_NODE_OFFSETS, SEC_TOPIC_NODES, mode)?,
+        csr::<TopicId>(flat, SEC_NODE_TOPIC_OFFSETS, SEC_NODE_TOPICS, mode)?,
+        csr::<TermId>(flat, SEC_TOPIC_TERM_OFFSETS, SEC_TOPIC_TERMS, mode)?,
+        csr::<TopicId>(flat, SEC_TERM_TOPIC_OFFSETS, SEC_TERM_TOPICS, mode)?,
+    )
+    .map_err(|e| StoreError::Corrupt(format!("topics: {e}")))?;
+    if !flat.has(SEC_VOCAB_OFFSETS) {
+        return Ok((space, None));
+    }
+    let vocab = Vocabulary::from_raw_parts(csr(flat, SEC_VOCAB_OFFSETS, SEC_VOCAB_BYTES, mode)?)
+        .map_err(|e| StoreError::Corrupt(format!("vocab: {e}")))?;
+    Ok((space, Some(vocab)))
+}
+
+fn load_flat(dir: &Path, mode: LoadMode) -> Result<PitEngine, StoreError> {
+    let flat = open_flat(dir, FLAT_FILE, mode)?;
+    let meta = decode_meta(flat.bytes_of(SEC_META)?)?;
+    let graph = read_graph(&flat, mode)?;
 
     let walks = WalkIndex::from_raw_parts(
         meta.walk_config,
@@ -500,23 +692,15 @@ fn load_flat(dir: &Path, mode: LoadMode) -> Result<PitEngine, StoreError> {
     )
     .map_err(|e| StoreError::Corrupt(format!("propagation: {e}")))?;
 
-    let space = pit_topics::snapshot::decode_space(flat.bytes_of(SEC_TOPICS)?)
-        .map_err(|e| StoreError::Corrupt(format!("topics: {e}")))?;
-    let vocab = if flat.has(SEC_VOCAB) {
-        Some(
-            pit_topics::snapshot::decode_vocab(flat.bytes_of(SEC_VOCAB)?)
-                .map_err(|e| StoreError::Corrupt(format!("vocab: {e}")))?,
-        )
-    } else {
-        None
-    };
-    let reps = pit_search_core::snapshot::decode(flat.bytes_of(SEC_REPS)?)
-        .map_err(|e| StoreError::Corrupt(format!("representatives: {e}")))?;
+    let (space, vocab) = read_topics(&flat, mode)?;
+    let reps = TopicRepIndex::from_raw_parts(
+        graph.node_count(),
+        csr(&flat, SEC_REP_OFFSETS, SEC_REP_NODES, mode)?,
+        section(&flat, SEC_REP_WEIGHTS, mode)?,
+    )
+    .map_err(|e| StoreError::Corrupt(format!("representatives: {e}")))?;
 
     if mode == LoadMode::Owned {
-        graph
-            .validate_deep()
-            .map_err(|e| StoreError::Corrupt(format!("graph: {e}")))?;
         walks
             .validate_deep()
             .map_err(|e| StoreError::Corrupt(format!("walks: {e}")))?;
@@ -524,7 +708,7 @@ fn load_flat(dir: &Path, mode: LoadMode) -> Result<PitEngine, StoreError> {
             .map_err(|e| StoreError::Corrupt(format!("propagation: {e}")))?;
     }
 
-    // Cross-artifact consistency: O(1) against the META node count.
+    // Cross-artifact consistency against the META node count.
     let corrupt = |what: &str| StoreError::Corrupt(what.to_string());
     if graph.node_count() != meta.node_count {
         return Err(corrupt("graph node count disagrees with meta"));
@@ -551,6 +735,48 @@ fn load_flat(dir: &Path, mode: LoadMode) -> Result<PitEngine, StoreError> {
     ))
 }
 
+/// Write a generated corpus — graph, topic space and, when given, its
+/// vocabulary — to `dir/dataset.pitf` (`dir` is created if absent), in
+/// the same sections an engine snapshot uses.
+pub fn save_dataset(
+    dir: &Path,
+    graph: &CsrGraph,
+    space: &TopicSpace,
+    vocab: Option<&Vocabulary>,
+) -> Result<(), StoreError> {
+    fs::create_dir_all(dir)?;
+    write_synced(
+        &dir.join(DATASET_FILE),
+        &encode_dataset(graph, space, vocab)?,
+    )
+}
+
+/// The bytes [`save_dataset`] writes.
+pub fn encode_dataset(
+    graph: &CsrGraph,
+    space: &TopicSpace,
+    vocab: Option<&Vocabulary>,
+) -> Result<Vec<u8>, StoreError> {
+    let mut w = FlatWriter::new();
+    push_graph(&mut w, graph);
+    push_topics(&mut w, space, vocab);
+    Ok(w.to_bytes()?)
+}
+
+/// Read a corpus written by [`save_dataset`] into owned memory, with every
+/// checksum and per-element invariant checked.
+pub fn load_dataset(dir: &Path) -> Result<(CsrGraph, TopicSpace, Option<Vocabulary>), StoreError> {
+    let flat = open_flat(dir, DATASET_FILE, LoadMode::Owned)?;
+    let graph = read_graph(&flat, LoadMode::Owned)?;
+    let (space, vocab) = read_topics(&flat, LoadMode::Owned)?;
+    if space.node_count() != graph.node_count() {
+        return Err(StoreError::Corrupt(
+            "topic space and graph disagree on the node count".into(),
+        ));
+    }
+    Ok((graph, space, vocab))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -559,10 +785,23 @@ mod tests {
     use pit_topics::TopicSpaceBuilder;
     use pit_walk::WalkConfig;
 
-    fn temp_dir(tag: &str) -> std::path::PathBuf {
+    fn temp_dir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("pit-store-test-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         dir
+    }
+
+    /// Hidden `.{name}.*` siblings of an engine directory.
+    fn hidden_siblings(dir: &Path) -> Vec<String> {
+        let prefix = format!(".{}.", dir.file_name().unwrap().to_string_lossy());
+        let mut names: Vec<String> = fs::read_dir(dir.parent().unwrap())
+            .unwrap()
+            .filter_map(|e| e.ok())
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .filter(|n| n.starts_with(&prefix))
+            .collect();
+        names.sort();
+        names
     }
 
     fn build_engine() -> PitEngine {
@@ -637,12 +876,11 @@ mod tests {
         let engine = build_engine();
         save_engine(&dir, &engine).unwrap();
 
-        // Simulate a crash mid-save: the staging directory save_engine uses
-        // exists with only a prefix of the flat snapshot written.
+        // Simulate a crash mid-save: a staging directory holding only a
+        // prefix of the flat snapshot.
         let staging = dir.parent().unwrap().join(format!(
-            ".{}.staging.{}",
-            dir.file_name().unwrap().to_string_lossy(),
-            std::process::id()
+            ".{}.staging.crashed",
+            dir.file_name().unwrap().to_string_lossy()
         ));
         fs::create_dir_all(&staging).unwrap();
         let full = fs::read(dir.join(FLAT_FILE)).unwrap();
@@ -660,20 +898,134 @@ mod tests {
         );
         drop(loaded);
 
-        // A later save sweeps the leftover staging dir and replaces the
-        // engine wholesale, leaving no hidden siblings behind.
+        // A later save replaces the engine wholesale under its own staging
+        // name — it never touches another save's staging directory — and
+        // leaves no hidden siblings of its own behind.
         save_engine(&dir, &engine).unwrap();
         assert!(load_engine(&dir).is_ok());
-        let hidden: Vec<_> = fs::read_dir(dir.parent().unwrap())
-            .unwrap()
-            .filter_map(|e| e.ok())
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .filter(|n| n.starts_with(&format!(".{}.", dir.file_name().unwrap().to_string_lossy())))
-            .collect();
+        let staging_name = staging.file_name().unwrap().to_string_lossy().into_owned();
+        assert_eq!(hidden_siblings(&dir), vec![staging_name]);
+        fs::remove_dir_all(&staging).unwrap();
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn concurrent_saves_of_one_target_never_tear_it() {
+        let dir = temp_dir("concurrent");
+        let engine = build_engine();
+        save_engine(&dir, &engine).unwrap();
+        let want = fs::read(dir.join(FLAT_FILE)).unwrap();
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..5 {
+                        // Each save commits or fails with a typed error.
+                        match save_engine(&dir, &engine) {
+                            Ok(()) | Err(StoreError::Io(_)) => {}
+                            Err(e) => panic!("unexpected save error: {e}"),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(fs::read(dir.join(FLAT_FILE)).unwrap(), want);
+        let loaded = load_engine(&dir).unwrap();
+        for u in 1..=engine.graph().node_count() as u32 {
+            let a = engine.search_user_term(user(u), TermId(0), 3);
+            let b = loaded.search_user_term(user(u), TermId(0), 3);
+            assert_eq!(a.top_k, b.top_k, "user {u} diverged");
+        }
         assert!(
-            hidden.is_empty(),
-            "stray staging dirs left behind: {hidden:?}"
+            hidden_siblings(&dir).is_empty(),
+            "{:?}",
+            hidden_siblings(&dir)
         );
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// An `UPDATE` on a loaded engine must re-summarize under the stored
+    /// configuration (here a fixed representative count and non-default
+    /// RCL settings), not the summarizer's defaults.
+    #[test]
+    fn summarizer_configuration_survives_a_reload() {
+        let spec = pit_datasets::DatasetSpec {
+            name: "store-meta".into(),
+            nodes: 200,
+            kind: pit_datasets::DatasetKind::PowerLaw { edges_per_node: 3 },
+            topics: pit_datasets::spec::scaled_topic_config(200, 5),
+            seed: 5,
+        };
+        let ds = pit_datasets::generate(&spec);
+        let lrw = pit_summarize::LrwConfig {
+            rep_count: Some(16),
+            ..pit_summarize::LrwConfig::default()
+        };
+        let rcl = pit_summarize::RclConfig {
+            c_size: 4,
+            sample_rate: 0.1,
+            refine_centroids: true,
+            seed: 9,
+            ..pit_summarize::RclConfig::default()
+        };
+        let new_edges = (1..ds.graph.node_count() as u32)
+            .map(|v| (NodeId(0), NodeId(v), 0.5))
+            .filter(|&(u, v, _)| !ds.graph.has_edge(u, v))
+            .take(2)
+            .collect();
+        let t0 = pit_graph::TopicId(0);
+        let joiner = ds.graph.nodes().find(|&v| !ds.space.node_has_topic(v, t0));
+        let delta = crate::Delta {
+            new_edges,
+            new_assignments: joiner.map(|v| (v, t0)).into_iter().collect(),
+        };
+        for kind in [SummarizerKind::Lrw(lrw), SummarizerKind::Rcl(rcl)] {
+            let dir = temp_dir(&format!("meta-{}", kind.name()));
+            let built = PitEngine::builder()
+                .walk(WalkConfig::new(3, 8).with_seed(2))
+                .summarizer(kind.clone())
+                .build_with_vocab(ds.graph.clone(), ds.space.clone(), Some(ds.vocab.clone()));
+            save_engine(&dir, &built).unwrap();
+            let loaded = load_engine_fast(&dir).unwrap();
+            assert_eq!(format!("{:?}", loaded.summarizer()), format!("{kind:?}"));
+
+            let (want, _) = built.with_delta_scoped(&delta, None).unwrap();
+            let (got, _) = loaded.with_delta_scoped(&delta, None).unwrap();
+            assert_eq!(got.reps().total_reps(), want.reps().total_reps());
+            for t in want.space().topics() {
+                assert_eq!(got.reps().get(t), want.reps().get(t), "topic {t}");
+            }
+            for u in 0..20 {
+                let a = want.search_user_term(NodeId(u), TermId(0), 5);
+                let b = got.search_user_term(NodeId(u), TermId(0), 5);
+                let bits = |o: &pit_search_core::SearchOutcome| -> Vec<(u32, u64)> {
+                    o.top_k
+                        .iter()
+                        .map(|s| (s.topic.0, s.score.to_bits()))
+                        .collect()
+                };
+                assert_eq!(bits(&a), bits(&b), "user {u}");
+            }
+            fs::remove_dir_all(&dir).unwrap();
+        }
+    }
+
+    #[test]
+    fn dataset_roundtrips_and_reports_legacy_corpora() {
+        let dir = temp_dir("dataset");
+        let engine = build_engine();
+        save_dataset(&dir, engine.graph(), engine.space(), engine.vocab()).unwrap();
+        let (graph, space, vocab) = load_dataset(&dir).unwrap();
+        assert_eq!(graph.raw_parts(), engine.graph().raw_parts());
+        assert_eq!(space.raw_parts(), engine.space().raw_parts());
+        assert_eq!(vocab.unwrap().get("phone"), Some(TermId(0)));
+        fs::remove_dir_all(&dir).unwrap();
+
+        fs::create_dir_all(&dir).unwrap();
+        fs::write(dir.join(LEGACY_GRAPH_FILE), b"PITGxxxx").unwrap();
+        assert!(matches!(
+            load_dataset(&dir),
+            Err(StoreError::UnsupportedVersion(_))
+        ));
         fs::remove_dir_all(&dir).unwrap();
     }
 

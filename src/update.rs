@@ -26,7 +26,6 @@
 use crate::engine::{PitEngine, SummarizerKind};
 use pit_graph::{GraphError, NodeId, TermId, TopicId};
 use pit_index::PropagationIndex;
-use pit_search_core::TopicRepIndex;
 use pit_summarize::{LrwSummarizer, RclSummarizer, SummarizeContext, Summarizer};
 use pit_walk::{WalkIndex, WalkIndexParts};
 use rustc_hash::FxHashSet;
@@ -276,8 +275,7 @@ impl PitEngine {
         let mut affected_topics: Vec<TopicId> = affected_topics.into_iter().collect();
         affected_topics.sort_unstable();
 
-        let mut reps: TopicRepIndex = self.reps().clone();
-        {
+        let reps = {
             let ctx = SummarizeContext {
                 graph: &new_graph,
                 space: &new_space,
@@ -299,10 +297,8 @@ impl PitEngine {
                         .collect::<Vec<_>>()
                 }
             };
-            for set in fresh {
-                reps.replace(set);
-            }
-        }
+            self.reps().with_sets(fresh)
+        };
 
         // Split the re-summarized topics' term bags by cause: a topic named
         // in the delta re-summarizes because it gained a member, the rest

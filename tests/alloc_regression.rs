@@ -1,8 +1,9 @@
 //! Allocation-freedom regression for the query hot path.
 //!
 //! This binary installs [`pit_eval::alloc::CountingAllocator`] as its global
-//! allocator and counts *allocation calls* (not bytes) across the search
-//! driver's round loop. After a warm-up query has sized the per-worker
+//! allocator and counts the test thread's own *allocation calls* (not
+//! bytes, and never another thread's) across the search driver's round
+//! loop. After a warm-up query has sized the per-worker
 //! [`SearchScratch`] buffers, re-running the same query's probe/feed loop
 //! against a flat-mapped engine must perform **zero** heap allocations —
 //! this is the contract that lets a serving worker answer steady-state
@@ -22,10 +23,11 @@ use pit_walk::WalkConfig;
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Build the figure-1 engine, round-trip it through a flat snapshot, and
-/// return the mapped load — the hot path under test is the one production
-/// workers run: query execution over arrays borrowed from the file mapping.
-fn mapped_engine() -> PitEngine {
+/// Build the figure-1 engine, round-trip it through a flat snapshot in a
+/// scratch directory of the calling test's own, and return the mapped load
+/// — the hot path under test is the one production workers run: query
+/// execution over arrays borrowed from the file mapping.
+fn mapped_engine(test: &str) -> PitEngine {
     let graph = figure1_graph();
     let mut vocab = pit_topics::Vocabulary::new();
     let phone = vocab.intern("phone");
@@ -39,7 +41,7 @@ fn mapped_engine() -> PitEngine {
     let built = PitEngine::builder()
         .walk(WalkConfig::new(4, 16).with_seed(7))
         .build_with_vocab(graph, b.build(), Some(vocab));
-    let dir = std::env::temp_dir().join(format!("pit-alloc-reg-{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("pit-alloc-reg-{test}-{}", std::process::id()));
     store::save_engine(&dir, &built).unwrap();
     let engine = store::load_engine(&dir).unwrap();
     // A mapped engine keeps serving from the unlinked inode.
@@ -90,7 +92,7 @@ fn loop_alloc_calls(
 
 #[test]
 fn warm_round_loop_is_allocation_free() {
-    let engine = mapped_engine();
+    let engine = mapped_engine("round-loop");
     let query = KeywordQuery::new(user(3), vec![pit_graph::TermId(0)]);
     let mut scratch = SearchScratch::new();
 
@@ -113,7 +115,7 @@ fn warm_round_loop_is_allocation_free() {
 
 #[test]
 fn warm_full_search_allocates_only_the_result() {
-    let engine = mapped_engine();
+    let engine = mapped_engine("full-search");
     let query = KeywordQuery::new(user(3), vec![pit_graph::TermId(0)]);
     let cancel = CancelToken::none();
     let mut tracer = NoTracer;

@@ -1,15 +1,17 @@
 //! Bit-identity of the zero-copy loaders: for arbitrary generated graphs
-//! and topic assignments, the engine served from a mapped flat snapshot
-//! must answer every query exactly like the engine it was saved from and
-//! like the deep-copying owned loader — same topics, same order, same
-//! score *bits*, same work counters. This is the proof that borrowing the
-//! index arrays straight out of the file mapping changes nothing about
-//! query semantics, only about load cost.
+//! and topic assignments, summarized by either summarizer and queried by
+//! keyword through the stored vocabulary, the engine served from a mapped
+//! flat snapshot must answer every query exactly like the engine it was
+//! saved from and like the deep-copying owned loader — same topics, same
+//! order, same score *bits*, same work counters. This is the proof that
+//! borrowing every array straight out of the file mapping changes nothing
+//! about query semantics, only about load cost.
 
-use pit::engine::PitEngine;
+use pit::engine::{PitEngine, SummarizerKind};
 use pit::store;
-use pit_graph::{GraphBuilder, NodeId, TermId};
-use pit_topics::TopicSpaceBuilder;
+use pit_graph::{GraphBuilder, NodeId};
+use pit_summarize::{LrwConfig, RclConfig};
+use pit_topics::{TopicSpaceBuilder, Vocabulary};
 use pit_walk::WalkConfig;
 use proptest::prelude::*;
 use rustc_hash::FxHashSet;
@@ -23,6 +25,8 @@ struct Instance {
     /// topic -> member node ids.
     topics: Vec<Vec<u32>>,
     seed: u64,
+    /// RCL-A instead of LRW-A.
+    rcl: bool,
 }
 
 fn instance() -> impl Strategy<Value = Instance> {
@@ -40,11 +44,14 @@ fn instance() -> impl Strategy<Value = Instance> {
             t
         });
         let topics = proptest::collection::vec(topic, 2..=4);
-        (edges, topics, 0u64..1024).prop_map(move |(edges, topics, seed)| Instance {
-            n,
-            edges,
-            topics,
-            seed,
+        (edges, topics, 0u64..1024, any::<bool>()).prop_map(move |(edges, topics, seed, rcl)| {
+            Instance {
+                n,
+                edges,
+                topics,
+                seed,
+                rcl,
+            }
         })
     })
 }
@@ -55,16 +62,35 @@ fn build_engine(inst: &Instance) -> PitEngine {
         b.add_edge(NodeId(u), NodeId(v), p).unwrap();
     }
     let graph = b.build().unwrap();
-    let mut tb = TopicSpaceBuilder::new(inst.n, 1);
-    for members in &inst.topics {
-        let t = tb.add_topic(vec![TermId(0)]);
+    let mut vocab = Vocabulary::new();
+    let (common, rare) = (vocab.intern("common"), vocab.intern("rare"));
+    let mut tb = TopicSpaceBuilder::new(inst.n, vocab.len());
+    for (i, members) in inst.topics.iter().enumerate() {
+        let terms = if i % 2 == 0 {
+            vec![common]
+        } else {
+            vec![common, rare]
+        };
+        let t = tb.add_topic(terms);
         for &m in members {
             tb.assign(NodeId(m), t);
         }
     }
+    let summarizer = if inst.rcl {
+        SummarizerKind::Rcl(RclConfig {
+            c_size: 2,
+            ..RclConfig::default()
+        })
+    } else {
+        SummarizerKind::Lrw(LrwConfig {
+            rep_count: Some(2),
+            ..LrwConfig::default()
+        })
+    };
     PitEngine::builder()
         .walk(WalkConfig::new(3, 8).with_seed(inst.seed))
-        .build(graph, tb.build())
+        .summarizer(summarizer)
+        .build_with_vocab(graph, tb.build(), Some(vocab))
 }
 
 /// Everything a query answer consists of, exact to the bit: ranked topic
@@ -79,8 +105,10 @@ struct Answer {
     loaded_reps: usize,
 }
 
-fn answer(engine: &PitEngine, u: u32, k: usize) -> Answer {
-    let out = engine.search_user_term(NodeId(u), TermId(0), k);
+/// The answer to `user`'s query for `keyword`, resolved through the
+/// engine's own vocabulary.
+fn answer(engine: &PitEngine, u: u32, keyword: &str, k: usize) -> Answer {
+    let out = engine.search_keywords(NodeId(u), &[keyword], k).unwrap();
     Answer {
         ranked: out
             .top_k
@@ -123,20 +151,28 @@ proptest! {
         prop_assert_eq!(owned.snapshot_format(), "owned");
         prop_assert!(mapped.mapped_bytes() > 0, "no arrays were mapped");
 
-        for u in 0..inst.n as u32 {
-            let want = answer(&built, u, k);
+        for engine in [&mapped, &fast, &owned] {
             prop_assert_eq!(
-                answer(&mapped, u, k), want.clone(),
-                "mapped load diverged at user {} (k={})", u, k
+                format!("{:?}", engine.summarizer()),
+                format!("{:?}", built.summarizer())
             );
-            prop_assert_eq!(
-                answer(&fast, u, k), want.clone(),
-                "fast load diverged at user {} (k={})", u, k
-            );
-            prop_assert_eq!(
-                answer(&owned, u, k), want,
-                "owned load diverged at user {} (k={})", u, k
-            );
+        }
+        for keyword in ["common", "rare"] {
+            for u in 0..inst.n as u32 {
+                let want = answer(&built, u, keyword, k);
+                prop_assert_eq!(
+                    answer(&mapped, u, keyword, k), want.clone(),
+                    "mapped load diverged at user {} ({}, k={})", u, keyword, k
+                );
+                prop_assert_eq!(
+                    answer(&fast, u, keyword, k), want.clone(),
+                    "fast load diverged at user {} ({}, k={})", u, keyword, k
+                );
+                prop_assert_eq!(
+                    answer(&owned, u, keyword, k), want,
+                    "owned load diverged at user {} ({}, k={})", u, keyword, k
+                );
+            }
         }
     }
 }

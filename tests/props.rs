@@ -5,7 +5,7 @@ use pit_baselines::exact::sum_simple_path_probs;
 use pit_graph::{GraphBuilder, NodeId, TermId, TopicId};
 use pit_index::{PropIndexConfig, PropagationIndex};
 use pit_search_core::{PersonalizedSearcher, SearchConfig, TopicRepIndex};
-use pit_summarize::{LrwConfig, LrwSummarizer, RepresentativeSet, SummarizeContext, Summarizer};
+use pit_summarize::{LrwConfig, LrwSummarizer, RepView, SummarizeContext, Summarizer};
 use pit_topics::{KeywordQuery, TopicSpaceBuilder};
 use pit_walk::{WalkConfig, WalkIndex};
 use proptest::prelude::*;
@@ -146,7 +146,7 @@ proptest! {
     fn summaries_are_well_formed(inst in instance()) {
         let built = build(&inst, 0.05);
         for t in built.space.topics() {
-            let set: &RepresentativeSet = built.reps.get(t);
+            let set: RepView = built.reps.get(t);
             prop_assert!(set.total_weight() <= 1.0 + 1e-9, "topic {}: {}", t, set.total_weight());
             for (_, w) in set.iter() {
                 prop_assert!(w >= 0.0 && w.is_finite());

@@ -1,83 +1,70 @@
-//! Corruption fuzzing for every binary snapshot format: decoders must never
+//! Corruption fuzzing for every binary snapshot format: loaders must never
 //! panic on malformed input — truncations, byte flips, random garbage — only
 //! return errors (or, for benign flips such as a probability's low bits,
 //! succeed).
 //!
-//! The `flat` module runs the same battery against the flat engine
-//! container (`engine.pitf`): truncations, bit flips, misaligned section
-//! offsets, overlapping and out-of-order section-table entries, and wrong
-//! checksums must each yield a typed error — never a panic, and never a
-//! silently-wrong engine (any corruption the checksummed loader accepts
-//! must leave every ranking bit-identical to the pristine snapshot's).
+//! The top-level battery covers the corpus container (`dataset.pitf`) and
+//! the shard manifest (`shard.pits`). The `flat` module runs the engine
+//! container (`engine.pitf`) through all three loaders: truncations, bit
+//! flips, misaligned section offsets, overlapping and out-of-order
+//! section-table entries, wrong checksums, and checksum-re-signed payloads
+//! that break one validation rule each must yield a typed error — never a
+//! panic, and never a silently-wrong engine (any corruption the checksummed
+//! loader accepts must leave every ranking bit-identical to the pristine
+//! snapshot's).
 
-use pit_graph::fixtures::{figure1_graph, figure1_topics, figure3_graph};
-use pit_graph::{TermId, TopicId};
-use pit_index::{PropIndexConfig, PropagationIndex};
-use pit_search_core::TopicRepIndex;
-use pit_summarize::RepresentativeSet;
+use pit::shard::ShardSpec;
+use pit::store;
+use pit_graph::fixtures::{figure1_graph, figure1_topics};
+use pit_graph::TermId;
 use pit_topics::TopicSpaceBuilder;
-use pit_walk::{WalkConfig, WalkIndex};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
-fn space() -> pit_topics::TopicSpace {
-    let g = figure1_graph();
-    let mut b = TopicSpaceBuilder::new(g.node_count(), 2);
+/// A fresh scratch directory per call, so parallel cases never share one.
+fn scratch_dir(tag: &str) -> std::path::PathBuf {
+    static CASE: AtomicUsize = AtomicUsize::new(0);
+    std::env::temp_dir().join(format!(
+        "pit-fuzz-{tag}-{}-{}",
+        std::process::id(),
+        CASE.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+fn dataset_bytes() -> Vec<u8> {
+    let graph = figure1_graph();
+    let mut vocab = pit_topics::Vocabulary::new();
+    vocab.intern("phone");
+    vocab.intern("tablet");
+    let mut b = TopicSpaceBuilder::new(graph.node_count(), 2);
     for members in &figure1_topics() {
         let t = b.add_topic(vec![TermId(0), TermId(1)]);
         for &m in members {
             b.assign(m, t);
         }
     }
-    b.build()
+    store::encode_dataset(&graph, &b.build(), Some(&vocab)).unwrap()
+}
+
+/// Load `bytes` as a corpus directory's `dataset.pitf`.
+fn dataset_loads(bytes: &[u8]) -> bool {
+    let dir = scratch_dir("dataset");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(store::DATASET_FILE), bytes).unwrap();
+    let ok = store::load_dataset(&dir).is_ok();
+    let _ = std::fs::remove_dir_all(&dir);
+    ok
 }
 
 /// All snapshot payloads under test, with a closure that decodes them.
 type Decoder = fn(&[u8]) -> bool;
 
 fn payloads() -> Vec<(String, Vec<u8>, Decoder)> {
-    let graph = figure1_graph();
-    let walks = WalkIndex::build(&graph, WalkConfig::new(3, 4));
-    let prop = PropagationIndex::build(&figure3_graph(), PropIndexConfig::default());
-    let reps = TopicRepIndex::from_sets(vec![RepresentativeSet::new(
-        TopicId(0),
-        vec![(pit_graph::NodeId(1), 0.5)],
-    )]);
-    let space = space();
-    let mut vocab = pit_topics::Vocabulary::new();
-    vocab.intern("phone");
-    vocab.intern("tablet");
-
     vec![
-        (
-            "graph".into(),
-            pit_graph::snapshot::encode(&graph).to_vec(),
-            |b| pit_graph::snapshot::decode(b).is_ok(),
-        ),
-        (
-            "walks".into(),
-            pit_walk::snapshot::encode(&walks).to_vec(),
-            |b| pit_walk::snapshot::decode(b).is_ok(),
-        ),
-        (
-            "prop".into(),
-            pit_index::snapshot::encode(&prop).to_vec(),
-            |b| pit_index::snapshot::decode(b).is_ok(),
-        ),
-        (
-            "reps".into(),
-            pit_search_core::snapshot::encode(&reps).to_vec(),
-            |b| pit_search_core::snapshot::decode(b).is_ok(),
-        ),
-        (
-            "space".into(),
-            pit_topics::snapshot::encode_space(&space).to_vec(),
-            |b| pit_topics::snapshot::decode_space(b).is_ok(),
-        ),
-        (
-            "vocab".into(),
-            pit_topics::snapshot::encode_vocab(&vocab).to_vec(),
-            |b| pit_topics::snapshot::decode_vocab(b).is_ok(),
-        ),
+        ("dataset".into(), dataset_bytes(), dataset_loads),
+        ("manifest".into(), ShardSpec::new(1, 3).encode(), |b| {
+            ShardSpec::decode(b).is_ok()
+        }),
     ]
 }
 
@@ -169,11 +156,14 @@ mod flat {
         static B: OnceLock<Baseline> = OnceLock::new();
         B.get_or_init(|| {
             let graph = figure1_graph();
+            // Two equal-length terms, so one can be overwritten with the
+            // other in place.
             let mut vocab = pit_topics::Vocabulary::new();
             let phone = vocab.intern("phone");
-            let mut b = TopicSpaceBuilder::new(graph.node_count(), 1);
+            let photo = vocab.intern("photo");
+            let mut b = TopicSpaceBuilder::new(graph.node_count(), 2);
             for members in &figure1_topics() {
-                let t = b.add_topic(vec![phone]);
+                let t = b.add_topic(vec![phone, photo]);
                 for &m in members {
                     b.assign(m, t);
                 }
@@ -194,17 +184,31 @@ mod flat {
         std::env::temp_dir().join(format!("pit-flatfuzz-{tag}-{}", std::process::id()))
     }
 
-    /// Write `bytes` as an engine.pitf and run the checksummed loader on
-    /// it. The scratch dir is unlinked immediately — a mapped engine keeps
-    /// serving from the unlinked inode.
-    fn try_load(bytes: &[u8]) -> Result<PitEngine, StoreError> {
+    type Loader = fn(&std::path::Path) -> Result<PitEngine, StoreError>;
+
+    /// The three load tiers, by name.
+    const LOADERS: [(&str, Loader); 3] = [
+        ("verified", store::load_engine),
+        ("fast", store::load_engine_fast),
+        ("owned", store::load_engine_owned),
+    ];
+
+    /// Write `bytes` as an engine.pitf and run `load` on it. The scratch
+    /// dir is unlinked immediately — a mapped engine keeps serving from the
+    /// unlinked inode.
+    fn try_load_with(bytes: &[u8], load: Loader) -> Result<PitEngine, StoreError> {
         static CASE: AtomicUsize = AtomicUsize::new(0);
         let dir = scratch_dir(&format!("case-{}", CASE.fetch_add(1, Ordering::Relaxed)));
         fs::create_dir_all(&dir).unwrap();
         fs::write(dir.join(store::FLAT_FILE), bytes).unwrap();
-        let out = store::load_engine(&dir);
+        let out = load(&dir);
         let _ = fs::remove_dir_all(&dir);
         out
+    }
+
+    /// [`try_load_with`] through the checksummed loader.
+    fn try_load(bytes: &[u8]) -> Result<PitEngine, StoreError> {
+        try_load_with(bytes, store::load_engine)
     }
 
     /// Open `bytes` at the container layer, for typed-FlatError asserts.
@@ -244,18 +248,157 @@ mod flat {
         }
     }
 
+    /// A future container version, and version 1 (whose topic space,
+    /// vocabulary and representatives were opaque blobs), are both
+    /// refused as unsupported rather than misread.
     #[test]
     fn version_skew_is_reported_as_unsupported() {
+        for version in [1u16, 3] {
+            let mut bytes = baseline().bytes.clone();
+            bytes[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                try_open(&bytes),
+                Err(FlatError::UnsupportedVersion { found, .. }) if found == version
+            ));
+            for (tier, load) in LOADERS {
+                assert!(
+                    matches!(
+                        try_load_with(&bytes, load),
+                        Err(StoreError::UnsupportedVersion(_))
+                    ),
+                    "{tier} loader misread a v{version} container"
+                );
+            }
+        }
+    }
+
+    /// Overwrite `kind`'s payload through `edit`, then re-sign the
+    /// section's checksum and the table's, so the edit reaches the
+    /// per-artifact validators under every load tier.
+    fn resigned(kind: u16, edit: impl FnOnce(&mut [u8])) -> Vec<u8> {
         let mut bytes = baseline().bytes.clone();
-        bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert!(matches!(
-            try_open(&bytes),
-            Err(FlatError::UnsupportedVersion { found: 2, .. })
-        ));
-        assert!(matches!(
-            try_load(&bytes),
-            Err(StoreError::UnsupportedVersion(_))
-        ));
+        let flat = try_open(&bytes).unwrap();
+        let i = flat.sections().iter().position(|s| s.kind == kind).unwrap();
+        let info = flat.sections()[i];
+        let payload = &mut bytes[info.offset..info.offset + info.byte_len];
+        edit(payload);
+        let sum = fnv64_words(payload);
+        let at = HEADER_LEN + i * ENTRY_LEN + 24;
+        bytes[at..at + 8].copy_from_slice(&sum.to_le_bytes());
+        resign_table(&mut bytes);
+        bytes
+    }
+
+    fn put_u32(p: &mut [u8], i: usize, v: u32) {
+        p[i * 4..i * 4 + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn get_u64(p: &[u8], i: usize) -> u64 {
+        u64::from_le_bytes(p[i * 8..i * 8 + 8].try_into().unwrap())
+    }
+
+    fn put_u64(p: &mut [u8], i: usize, v: u64) {
+        p[i * 8..i * 8 + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    fn put_last_u32(p: &mut [u8], v: u32) {
+        let n = p.len() / 4;
+        put_u32(p, n - 1, v);
+    }
+
+    fn put_weight(p: &mut [u8], w: f64) {
+        p[..8].copy_from_slice(&w.to_le_bytes());
+    }
+
+    /// One checksum-re-signed payload edit per validation rule of the
+    /// topic space, vocabulary and representative index. Each must be a
+    /// typed `Corrupt` under all three loaders — never a panic, never a
+    /// loaded engine.
+    #[test]
+    fn resigned_rule_breaks_are_corrupt_under_every_loader() {
+        let nodes = figure1_graph().node_count() as u32;
+        let cases: Vec<(&str, Vec<u8>)> = vec![
+            (
+                "term id out of range",
+                resigned(store::SEC_TOPIC_TERMS, |p| put_last_u32(p, 99)),
+            ),
+            (
+                "member id out of range",
+                resigned(store::SEC_TOPIC_NODES, |p| put_last_u32(p, nodes)),
+            ),
+            (
+                "representative node out of range",
+                resigned(store::SEC_REP_NODES, |p| put_last_u32(p, nodes)),
+            ),
+            (
+                "vocabulary term not UTF-8",
+                resigned(store::SEC_VOCAB_BYTES, |p| p[0] = 0xFF),
+            ),
+            (
+                "duplicate vocabulary term",
+                resigned(store::SEC_VOCAB_BYTES, |p| {
+                    let (a, b) = p.split_at_mut(5);
+                    b[..5].copy_from_slice(a);
+                }),
+            ),
+            (
+                "NaN weight",
+                resigned(store::SEC_REP_WEIGHTS, |p| put_weight(p, f64::NAN)),
+            ),
+            (
+                "infinite weight",
+                resigned(store::SEC_REP_WEIGHTS, |p| put_weight(p, f64::INFINITY)),
+            ),
+            (
+                "negative weight",
+                resigned(store::SEC_REP_WEIGHTS, |p| put_weight(p, -0.5)),
+            ),
+            (
+                "non-monotone offsets",
+                resigned(store::SEC_TOPIC_NODE_OFFSETS, |p| {
+                    let last = get_u64(p, p.len() / 8 - 1);
+                    put_u64(p, 1, last + 1);
+                }),
+            ),
+            (
+                "offsets short of the data length",
+                resigned(store::SEC_REP_OFFSETS, |p| {
+                    let i = p.len() / 8 - 1;
+                    put_u64(p, i, get_u64(p, i) - 1);
+                }),
+            ),
+            (
+                "unsorted list",
+                resigned(store::SEC_TOPIC_NODES, |p| {
+                    let (a, b) = p.split_at_mut(4);
+                    a.swap_with_slice(&mut b[..4]);
+                }),
+            ),
+            (
+                "duplicate in list",
+                resigned(store::SEC_TOPIC_NODES, |p| {
+                    let (a, b) = p.split_at_mut(4);
+                    b[..4].copy_from_slice(a);
+                }),
+            ),
+            (
+                "node inverse disagrees",
+                resigned(store::SEC_NODE_TOPICS, |p| p[0] ^= 1),
+            ),
+            (
+                "term inverse disagrees",
+                resigned(store::SEC_TERM_TOPICS, |p| p[0] ^= 1),
+            ),
+        ];
+        for (rule, bytes) in cases {
+            for (tier, load) in LOADERS {
+                match try_load_with(&bytes, load) {
+                    Err(StoreError::Corrupt(_)) => {}
+                    Err(e) => panic!("{rule}: {tier} loader gave {e}, not Corrupt"),
+                    Ok(_) => panic!("{rule}: {tier} loader accepted the snapshot"),
+                }
+            }
+        }
     }
 
     proptest! {
